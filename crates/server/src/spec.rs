@@ -11,8 +11,7 @@ use crate::json::Json;
 use wsp_explore::{sorting_center_sweep, DesignCandidate, ExploreOptions, SimScoring};
 use wsp_maps::SortingCenterParams;
 use wsp_sim::{
-    AssignConfig, AssignPolicy, DeviationConfig, FaultConfig, RepairConfig, SimConfig, SimEngine,
-    StreamConfig,
+    AssignConfig, AssignPolicy, DeviationConfig, FaultConfig, RepairConfig, SimConfig, StreamConfig,
 };
 use wsp_traffic::RingOrientation;
 
@@ -255,8 +254,6 @@ pub struct SimSpec {
     pub stream_seed: u64,
     /// Task-assignment policy.
     pub policy: AssignPolicy,
-    /// The stepping core.
-    pub engine: SimEngine,
     /// The stall-deviation process (`DeviationConfig::none()` default).
     pub deviations: DeviationConfig,
     /// The fault-injection layer — agent breakdowns, station outages,
@@ -289,7 +286,6 @@ impl SimSpec {
                 "mean_gap",
                 "stream_seed",
                 "policy",
-                "engine",
                 "deviations",
                 "faults",
                 "repair",
@@ -299,18 +295,6 @@ impl SimSpec {
         let params = match value.get("map") {
             None => SortingCenterParams::paper(),
             Some(v) => parse_params(v)?,
-        };
-        let engine = match value.get("engine") {
-            None => SimEngine::default(),
-            Some(v) => match v.as_str() {
-                Some("event") => SimEngine::Event,
-                Some("reference") => SimEngine::Reference,
-                _ => {
-                    return Err(format!(
-                        "engine must be \"event\" or \"reference\", got {v}"
-                    ))
-                }
-            },
         };
         let deviations = match value.get("deviations") {
             None => DeviationConfig::none(),
@@ -434,7 +418,6 @@ impl SimSpec {
             mean_gap: get_u32(value, "mean_gap", 4)?,
             stream_seed: get_u64(value, "stream_seed", 0x5eed)?,
             policy: parse_policy(value, AssignPolicy::Static)?,
-            engine,
             deviations,
             faults,
             repair,
@@ -459,7 +442,6 @@ impl SimSpec {
             deviations: self.deviations.clone(),
             faults: self.faults,
             repair: self.repair.clone(),
-            engine: self.engine,
             ..SimConfig::default()
         }
     }
@@ -532,6 +514,10 @@ mod tests {
                 .contains("chute_rowz")
         );
         assert!(SimSpec::from_json(&parse(r#"{"engine": "warp"}"#))
+            .unwrap_err()
+            .contains("engine"));
+        // The reference engine is a test oracle, not a service option.
+        assert!(SimSpec::from_json(&parse(r#"{"engine": "reference"}"#))
             .unwrap_err()
             .contains("engine"));
         assert!(SimSpec::from_json(&parse(r#"{"policy": "greedy"}"#))

@@ -48,6 +48,7 @@ use std::collections::VecDeque;
 use wsp_model::{Coord, FloorplanGraph, LocationMatrix, ProductId, VertexId, Warehouse, NO_INDEX};
 
 use crate::distfield::DistFields;
+use crate::stream::Task;
 
 /// Which task-assignment policy the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,20 +131,13 @@ pub fn select_agent(bids: &[AgentBid]) -> Option<AgentBid> {
     bids.iter().copied().min_by_key(|b| (b.cost, b.agent))
 }
 
-/// A task waiting for assignment (product plus arrival tick, FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PendingTask {
-    pub product: ProductId,
-    pub arrival: u64,
-}
-
 /// A carry transition a mission executes on its next tick transition,
 /// with the pre-move cell as the action vertex (the plan checker's
 /// condition (3) convention, shared with window-plan execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LegAction {
-    /// Pick one unit of `product` up; the task arrived at `arrival`.
-    Pickup { product: ProductId, arrival: u64 },
+    /// Pick up one unit for `task`.
+    Pickup(Task),
     /// Drop the carried unit at a station, completing the task that
     /// arrived at `arrival`; `station` indexes the auction's station
     /// table for pressure bookkeeping.
@@ -192,6 +186,28 @@ pub(crate) struct Mission {
 }
 
 impl Mission {
+    /// A fresh mission at the start of `path`, with no action pending.
+    pub(crate) fn new(kind: MissionKind, path: Vec<VertexId>, legs: VecDeque<Leg>) -> Self {
+        Mission {
+            kind,
+            path,
+            at: 0,
+            legs,
+            action: None,
+            blocked: 0,
+            wedged: false,
+        }
+    }
+
+    /// Replaces the route with `path`, starting over at its first cell
+    /// and clearing the blocked/wedged state the old route accrued.
+    pub(crate) fn set_route(&mut self, path: Vec<VertexId>) {
+        self.path = path;
+        self.at = 0;
+        self.blocked = 0;
+        self.wedged = false;
+    }
+
     /// Whether assignment may replace this mission with a task mission
     /// (staging and drifting are best-effort; a pending carry action is
     /// not).
@@ -255,7 +271,7 @@ fn parity_allows(a: Coord, b: Coord) -> bool {
 pub(crate) struct AuctionState {
     /// Tasks awaiting assignment, in arrival order (arrivals are
     /// redirected here instead of the per-product execution queues).
-    pub pending: VecDeque<PendingTask>,
+    pub pending: VecDeque<Task>,
     /// Assignment-time stock reservations: debited when a task is
     /// assigned a slot, so concurrent missions never over-commit a slot
     /// and executed pickups never underflow the authoritative ledger.
@@ -267,11 +283,6 @@ pub(crate) struct AuctionState {
     /// Per station: idle agents staged at (or repositioning toward) its
     /// anchor.
     pub staged: Vec<u32>,
-    /// Per station: dark under an injected outage. Dark stations take no
-    /// new assignments (the pickers skip them, so pressure redistributes
-    /// through the usual `station_bias` term); queued tasks wait for the
-    /// outage to expire rather than vanish.
-    pub dark: Vec<bool>,
     /// Which station each agent is staged under, if any.
     pub staged_of: Vec<Option<u16>>,
     /// Per-agent current mission.
@@ -322,6 +333,10 @@ pub(crate) struct AuctionState {
     // Scratch for the bounded idle-neighbourhood probes.
     pub probe_dist: Vec<u32>,
     pub probe_touched: Vec<u32>,
+    /// The bid slate of the pass being run.
+    pub bids: Vec<AgentBid>,
+    /// Blockers asked to drift clear this tick, applied after the sweep.
+    pub nudge_buf: Vec<u32>,
 }
 
 impl AuctionState {
@@ -400,7 +415,6 @@ impl AuctionState {
             reserved: warehouse.location_matrix().clone(),
             open: vec![0; stations.len()],
             staged: vec![0; stations.len()],
-            dark: vec![false; stations.len()],
             staged_of: vec![None; agents],
             missions: (0..agents).map(|_| None).collect(),
             // Dirty at construction: the first executed tick runs one
@@ -420,7 +434,17 @@ impl AuctionState {
             frontier: VecDeque::new(),
             probe_dist: Vec::new(),
             probe_touched: Vec::new(),
+            bids: Vec::with_capacity(agents),
+            nudge_buf: Vec::new(),
         }
+    }
+
+    /// Returns one reserved unit of `product` at `site` to the stock the
+    /// pickers see, rewinding that product's site-list cursors so the
+    /// unit is visible again.
+    pub(crate) fn restore_unit(&mut self, site: VertexId, product: ProductId) {
+        self.reserved.add_units(site, product, 1);
+        self.fields.rewind(product);
     }
 
     /// Whether a mission may traverse `u -> v` (parity rule, or either
@@ -439,16 +463,18 @@ impl AuctionState {
     /// order-independent. Per station this reads the first stocked
     /// entry of the cached ascending site list (amortized O(1); the
     /// pre-cache full scan is the oracle it is property-tested against).
-    /// Dark stations are skipped outright: an outage removes them from
-    /// the slate until it expires.
+    /// Stations `dark` reports out (an outage) are skipped: they take no
+    /// new assignments, so pressure redistributes through the usual
+    /// `station_bias` term while their queued tasks wait.
     pub(crate) fn pick_station_site(
         &mut self,
         product: ProductId,
         bias: u32,
+        dark: impl Fn(usize) -> bool,
     ) -> Option<(u16, VertexId)> {
         let mut best: Option<(u64, u16, VertexId)> = None;
         for q in 0..self.stations.len() {
-            if self.dark[q] {
+            if dark(q) {
                 continue;
             }
             let Some((d, s)) = self.fields.first_stocked_in(q, product, &self.reserved) else {
@@ -477,6 +503,7 @@ impl AuctionState {
         product: ProductId,
         from: u16,
         bias: u32,
+        dark: impl Fn(usize) -> bool,
     ) -> Option<(u16, VertexId)> {
         let stations = self.stations.len();
         let tail = self
@@ -493,7 +520,7 @@ impl AuctionState {
                 continue;
             }
             for q in 0..stations {
-                if self.dark[q] {
+                if dark(q) {
                     continue;
                 }
                 let d_in = self.to_station[q][e.site.index()];
@@ -756,13 +783,14 @@ mod tests {
         /// random scaled-warehouse instances: every anchor field equals a
         /// fresh full [`FloorplanGraph::bfs_distances`], and both cached
         /// site pickers return exactly what the pre-cache full scans
-        /// return — under random station pressure and as random
-        /// assignment-style reservations monotonically drain the stock.
+        /// return — under random station pressure, as random
+        /// assignment-style reservations drain the stock (whole sites
+        /// included), and as shed work restores reserved units.
         #[test]
         fn cached_fields_and_pickers_agree_with_fresh_scans(
             map_seed in 0u64..50,
             opens in proptest::collection::vec(0u32..5, 16),
-            ops in proptest::collection::vec((0usize..64, 0u32..3, 0usize..16), 1..80),
+            ops in proptest::collection::vec((0usize..64, 0u32..3, 0usize..16, 0u32..4), 1..80),
         ) {
             let map = wsp_maps::scaled_warehouse(5, 40, 3, map_seed)
                 .expect("small scaled map builds");
@@ -800,18 +828,25 @@ mod tests {
             }
             let products = warehouse.catalog().len();
             let stations = auc.stations.len();
-            for &(raw_p, bias, raw_q) in &ops {
+            let mut taken = Vec::new();
+            for &(raw_p, bias, raw_q, kind) in &ops {
                 let product = ProductId((raw_p % products) as u32);
                 let from = (raw_q % stations) as u16;
                 let expect_first = oracle_station_site(&auc, &sites, product, bias);
-                prop_assert_eq!(auc.pick_station_site(product, bias), expect_first);
+                prop_assert_eq!(auc.pick_station_site(product, bias, |_| false), expect_first);
                 let expect_follow =
                     oracle_followup(&auc, &from_station, &sites, product, from, bias);
-                prop_assert_eq!(auc.pick_followup(product, from, bias), expect_follow);
-                // Reserve one unit at the picked site, exactly like an
-                // assignment commit — the only way stock ever changes.
-                if let Some((_, s)) = expect_first {
-                    auc.reserved.remove_units(s, product, 1);
+                prop_assert_eq!(auc.pick_followup(product, from, bias, |_| false), expect_follow);
+                // Reserve one unit at the picked site, like an assignment
+                // commit, or all of them, like a run of commits; or return
+                // the latest reserved unit, like a shed pickup leg.
+                if kind == 0 && !taken.is_empty() {
+                    let (s, p) = taken.pop().expect("checked non-empty");
+                    auc.restore_unit(s, p);
+                } else if let Some((_, s)) = expect_first {
+                    let units = if kind == 1 { auc.reserved.units_at(s, product) } else { 1 };
+                    auc.reserved.remove_units(s, product, units);
+                    taken.push((s, product));
                 }
             }
         }

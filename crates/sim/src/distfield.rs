@@ -18,9 +18,11 @@
 //!   entry with unreserved stock" instead of a full scan with a
 //!   `BTreeMap` stock lookup per `(station, site)` pair, and follow-up
 //!   batching walks sites in ascending out-distance with an early exit.
-//!   A monotone cursor per list skips the permanently exhausted prefix:
-//!   assignment-time reservations only ever *remove* stock, so a site
-//!   that reads empty once reads empty forever.
+//!   A cursor per list skips the exhausted prefix. Assignment-time
+//!   reservations only remove stock, so between restores a site that
+//!   reads empty stays empty. Stock comes back only when shed work
+//!   returns its unit (`AuctionState::restore_unit`), and that rewinds
+//!   the product's cursors ([`DistFields::rewind`]).
 //!
 //! Memory: the lists store every reachable `(station, stocked site)`
 //! pair twice (once per direction) at 8 bytes each, plus one `u32` per
@@ -111,8 +113,8 @@ impl DistFields {
     /// The cheapest stocked `(distance, site)` of `product` toward
     /// station `q` — the exact minimum the old full scan computed,
     /// because the list is ascending `(d, site)` and skipped entries
-    /// have no stock. Skips are remembered: `reserved` is monotone
-    /// decreasing, so the cursor never has to back up.
+    /// have no stock. Skips are remembered until the next
+    /// [`rewind`](Self::rewind) of `product`.
     pub(crate) fn first_stocked_in(
         &mut self,
         q: usize,
@@ -147,6 +149,16 @@ impl DistFields {
         &list[*cur..]
     }
 
+    /// Resets every station's cursors for `product` to the list start:
+    /// a restored unit may sit inside a prefix the cursors skipped.
+    pub(crate) fn rewind(&mut self, product: ProductId) {
+        for q in 0..self.in_cursor.len() / self.products.max(1) {
+            let idx = q * self.products + product.index();
+            self.in_cursor[idx] = 0;
+            self.out_cursor[idx] = 0;
+        }
+    }
+
     /// Full undirected BFS distances from station `q`'s staging anchor.
     pub(crate) fn anchor_field(&self, q: usize) -> &[u32] {
         &self.anchor_fields[q]
@@ -172,8 +184,8 @@ mod tests {
     use super::*;
 
     /// `first_stocked_in` must equal the pre-cache scan: minimum
-    /// `(distance, site)` over stocked, field-reachable sites — even as
-    /// stock monotonically drains and the cursor advances.
+    /// `(distance, site)` over stocked, field-reachable sites — as stock
+    /// drains and the cursor advances, and after a unit comes back.
     #[test]
     fn first_stocked_matches_fresh_scan_while_stock_drains() {
         // A hand-rolled field over 6 vertices; product 0 stocked at four
@@ -211,5 +223,12 @@ mod tests {
         // reachable sites drain the answer is None.
         assert_eq!(fields.first_stocked_in(0, ProductId(0), &reserved), None);
         assert_eq!(oracle(&reserved), None);
+        // A shed pickup returns v1's unit behind the cursor; the rewind
+        // makes it visible again.
+        reserved.add_units(VertexId(1), ProductId(0), 1);
+        fields.rewind(ProductId(0));
+        let got = fields.first_stocked_in(0, ProductId(0), &reserved);
+        assert_eq!(got, oracle(&reserved));
+        assert_eq!(got, Some((2, VertexId(1))));
     }
 }

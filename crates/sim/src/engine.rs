@@ -34,7 +34,7 @@
 //!    themselves, and plan lag is undefined off-plan.
 //! 5. **Movement** — every agent names its desired next cell (its repair
 //!    path, else its mission path under `Auction`, else its window plan);
-//!    a fixpoint grant pass then executes all
+//!    a vacancy-chain grant pass then executes all
 //!    conflict-free chains simultaneously. Grants require the target cell
 //!    empty or its occupant granted away, and one grant per cell, so
 //!    vertex collisions and edge swaps are impossible *by construction*
@@ -46,7 +46,7 @@
 //!    complete tasks and record latency; conservation
 //!    (`injected == completed + in_flight + queued`) is asserted. Mission
 //!    agents blocked long enough file deferred nudges, applied after the
-//!    sweep (phase 8b) so wake ordering stays engine-independent.
+//!    sweep so wake ordering stays engine-independent.
 //!
 //! When the window is exhausted (or lag crosses the early-replan
 //! threshold) the engine snapshots the *actual* agent states and resumes
@@ -54,6 +54,31 @@
 //! ([`Pipeline::realize_window`]) — deviation divergence heals at every
 //! replan, and in a deviation-free run the windows concatenate to exactly
 //! the one-shot realization (the differential tests pin this).
+//!
+//! # Parts and phase functions
+//!
+//! [`Simulation`] keeps its state in disjoint parts, and each tick phase
+//! borrows only the parts it reads or writes:
+//!
+//! * `Fleet` — per-agent position, load, cycle progress, stalls, detours.
+//! * `Floor` — occupancy, outages and closures, grant-pass scratch.
+//!   `Floor::closed` is the one closed-cell view; `Floor::grant` is the
+//!   movement phase's grant pass.
+//! * `Scheduler` — sleep ledger, bucket queue, active set and the
+//!   window's `first_change`. `Scheduler::pop_due` runs due events;
+//!   `Scheduler::wake` is the one wake path and never touches the
+//!   auction (callers that change its inputs mark it dirty).
+//! * `Window` — the window plan and every agent's cursor into it.
+//! * `RepairScratch` — requests, projection and reservation table for
+//!   `Simulation::try_repairs`.
+//! * the auction (`AuctionState`, present exactly under `Auction`), with
+//!   its own bid slate and nudge buffer. Its phases live in
+//!   [`crate::mission`] (`assign`, `step_mission`, `apply_nudges`,
+//!   `shed_agent`) and install task routes through one helper that
+//!   applies `route_cap`. It never leaves its field.
+//!
+//! Plan following (`advance_on_plan`), faults (`apply_fault`), sleep
+//! decisions (`maybe_sleep`) and replans are methods on [`Simulation`].
 //!
 //! # Event-driven stepping
 //!
@@ -81,17 +106,17 @@ use std::collections::VecDeque;
 use wsp_core::{Pipeline, PipelineError, PipelineOptions, WspInstance};
 use wsp_flow::AgentCycleSet;
 use wsp_mapf::ReservationTable;
-use wsp_model::{AgentState, Carry, Coord, LocationMatrix, Plan, ProductId, VertexId, NO_INDEX};
+use wsp_model::{
+    AgentState, Carry, Coord, FloorplanGraph, LocationMatrix, Plan, ProductId, VertexId, NO_INDEX,
+};
 use wsp_realize::AgentSnapshot;
 
-use crate::assign::{
-    select_agent, AgentBid, AssignConfig, AssignPolicy, AuctionState, ClosedSet, Leg, LegAction,
-    Mission, MissionKind, PendingTask,
-};
+use crate::assign::{AssignConfig, AssignPolicy, AuctionState, ClosedSet};
 use crate::deviation::{
-    DeviationConfig, DeviationSchedule, FaultConfig, FaultEvent, FaultSchedule, Stall, NEVER,
+    DeviationConfig, DeviationSchedule, FaultConfig, FaultEvent, FaultSchedule, NEVER,
 };
 use crate::event::{self, SleepBook, SleepMode};
+use crate::mission::Roads;
 use crate::queue::BucketQueue;
 use crate::repair::{accept_repairs, plan_repairs, RepairPath, RepairRequest};
 use crate::report::{Fnv, SimCounters, SimReport};
@@ -252,65 +277,60 @@ impl From<PipelineError> for SimError {
     }
 }
 
-/// The lifelong simulator. Borrows the instance; owns everything else,
-/// including the [`Pipeline`] whose realize scratch serves every window
-/// replan — steady-state ticks are allocation-light (only window plans and
-/// task bookkeeping allocate).
+/// Per-agent runtime state: position, load, cycle progress, stalls and
+/// catch-up detours.
 #[derive(Debug)]
-pub struct Simulation<'a> {
-    instance: &'a WspInstance,
-    cycles: AgentCycleSet,
-    pipeline: Pipeline,
-    config: SimConfig,
-    window_len: usize,
+pub(crate) struct Fleet {
+    pub pos: Vec<VertexId>,
+    pub carry: Vec<Option<ProductId>>,
+    pub cycle_of: Vec<usize>,
+    pub step_of: Vec<usize>,
+    pub advance_t: Vec<i64>,
+    /// An agent is stalled while `t < stall_until[a]`. Breakdowns ride
+    /// this too, with `NEVER` for permanent losses.
+    pub stall_until: Vec<u64>,
+    /// Arrival tick of the task riding with each agent.
+    pub attached: Vec<Option<u64>>,
+    pub repair: Vec<Option<RepairPath>>,
+    pub repair_cooldown_until: Vec<u64>,
+}
 
-    stream: TaskStream,
-    deviations: DeviationSchedule,
-    stall_buf: Vec<Stall>,
-    faults: FaultSchedule,
-    fault_buf: Vec<FaultEvent>,
+impl Fleet {
+    /// Whether agent `a` can take new work at tick `t`: unstalled and
+    /// empty-handed.
+    pub(crate) fn free(&self, a: usize, t: u64) -> bool {
+        t >= self.stall_until[a] && self.carry[a].is_none()
+    }
 
-    // Fault state. A station is dark while `t < dark_until[q]`
-    // (`dark_active` counts the currently dark ones); a vertex is closed
-    // while `t < closed_until[v]`, with `closed_cells` listing exactly
-    // the currently closed cells so expiry and repair scans stay
-    // O(closures), never O(vertices). Breakdowns need no state of their
-    // own: they ride the stall machinery (`stall_until`, with `NEVER`
-    // for permanent losses).
+    fn state(&self, a: usize) -> AgentState {
+        AgentState {
+            at: self.pos[a],
+            carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
+        }
+    }
+}
+
+/// The trajectory checksum's code for a load (`0`: empty).
+fn carry_code(carry: Option<ProductId>) -> u64 {
+    carry.map_or(0, |p| u64::from(p.0) + 1)
+}
+
+/// The floor: dense per-vertex tables preallocated once and cleared
+/// through touched lists, so the tick body is O(agents).
+#[derive(Debug)]
+pub(crate) struct Floor {
+    /// The agent on each vertex (`NO_INDEX`: empty).
+    pub occupant: Vec<u32>,
+
+    // Station `q` is dark while `t < dark_until[q]` (`dark_active` of
+    // them), vertex `v` closed while `t < closed_until[v]`; `closed_cells`
+    // lists the closed ones so expiry and repair scans stay O(closures).
     dark_until: Vec<u64>,
     dark_active: usize,
     closed_until: Vec<u64>,
     closed_cells: Vec<VertexId>,
 
-    // Authoritative stock ledger (debited by *executed* pickups) and the
-    // clone handed to each window realization.
-    ledger: LocationMatrix,
-    plan_ledger: LocationMatrix,
-
-    // Current window plan; `window_start + cursor` is an agent's scheduled
-    // absolute tick when on time.
-    window_plan: Plan,
-    window_start: u64,
-
-    // Per-agent runtime state.
-    pos: Vec<VertexId>,
-    carry: Vec<Option<ProductId>>,
-    cycle_of: Vec<usize>,
-    step_of: Vec<usize>,
-    advance_t: Vec<i64>,
-    cursor: Vec<usize>,
-    stall_until: Vec<u64>,
-    attached: Vec<Option<u64>>,
-    repair: Vec<Option<RepairPath>>,
-    repair_cooldown_until: Vec<u64>,
-
-    // Task queues, one FIFO of arrival ticks per product.
-    queues: Vec<VecDeque<u64>>,
-
-    // Dense per-vertex occupancy plus per-tick movement scratch, all
-    // preallocated and cleared through touched lists; the tick body is
-    // O(agents), independent of vertices.
-    occupant: Vec<u32>,
+    // Grant-pass scratch: this tick's claims, desires, grants and movers.
     claimed: Vec<bool>,
     claimed_cells: Vec<u32>,
     desired: Vec<VertexId>,
@@ -323,36 +343,415 @@ pub struct Simulation<'a> {
     waiter_next: Vec<u32>,
     waiter_cells: Vec<u32>,
     grant_queue: Vec<usize>,
+}
 
-    // Repair scratch. The reservation table is held for the simulation's
-    // lifetime and cleared per repair event via its touched-list
-    // `reset`, so a repair costs O(reservations projected), never the
-    // O(vertices) re-init a fresh table would pay.
-    requests: Vec<RepairRequest>,
-    is_candidate: Vec<bool>,
-    projection: Vec<VertexId>,
-    repair_table: ReservationTable,
+impl Floor {
+    fn new(vertices: usize, stations: usize, pos: &[VertexId]) -> Self {
+        let agents = pos.len();
+        let mut occupant = vec![NO_INDEX; vertices];
+        for (a, v) in pos.iter().enumerate() {
+            occupant[v.index()] = a as u32;
+        }
+        Floor {
+            occupant,
+            dark_until: vec![0; stations],
+            dark_active: 0,
+            closed_until: vec![0; vertices],
+            closed_cells: Vec::new(),
+            claimed: vec![false; vertices],
+            claimed_cells: Vec::with_capacity(agents),
+            desired: vec![VertexId(0); agents],
+            granted: vec![false; agents],
+            movers: Vec::with_capacity(agents),
+            waiter_head: vec![NO_INDEX; vertices],
+            waiter_tail: vec![NO_INDEX; vertices],
+            waiter_next: vec![NO_INDEX; agents],
+            waiter_cells: Vec::with_capacity(agents),
+            grant_queue: Vec::with_capacity(agents),
+        }
+    }
 
-    // Event scheduler: the sleep ledger, the tick-keyed event queue, the
-    // active set rebuilt each executed tick, and the current window's
-    // per-agent first-change schedule from the realize stage. The
-    // reference engine maintains all of it virtually (its processing
-    // domain stays 0..n), which is what keeps the two engines'
-    // event/elision counters byte-identical.
+    /// The closed-cell view at tick `t`: the only way routes, drifts,
+    /// and the move gate see corridor closures.
+    pub(crate) fn closed(&self, t: u64) -> ClosedSet<'_> {
+        ClosedSet {
+            until: &self.closed_until,
+            t,
+        }
+    }
+
+    /// The earliest outage or closure expiry after `t`, if any.
+    fn next_expiry(&self, t: u64) -> Option<u64> {
+        let dark: &[u64] = if self.dark_active > 0 {
+            &self.dark_until
+        } else {
+            &[]
+        };
+        let closed = self
+            .closed_cells
+            .iter()
+            .map(|v| self.closed_until[v.index()]);
+        dark.iter().copied().chain(closed).filter(|&u| u > t).min()
+    }
+
+    /// Whether station `q` is dark at tick `t`: it takes no new
+    /// assignments, while deliveries already en route still complete.
+    pub(crate) fn dark(&self, q: usize, t: u64) -> bool {
+        t < self.dark_until[q]
+    }
+
+    /// Re-opens every station and cell with `until <= t`; returns whether
+    /// any re-opened.
+    fn expire(&mut self, t: u64) -> bool {
+        let dark_before = self.dark_active;
+        if self.dark_active > 0 {
+            self.dark_active = self.dark_until.iter().filter(|&&u| u > t).count();
+        }
+        let closed_before = self.closed_cells.len();
+        let until = &self.closed_until;
+        self.closed_cells.retain(|v| until[v.index()] > t);
+        self.dark_active < dark_before || self.closed_cells.len() < closed_before
+    }
+
+    /// Closes up to `len` cells walked from `anchor` along the seeded axis
+    /// while grid edges continue, each until `until` (overlapping
+    /// closures max-merge their expiries).
+    fn close_corridor(
+        &mut self,
+        graph: &FloorplanGraph,
+        anchor: usize,
+        axis: u32,
+        len: u32,
+        until: u64,
+        t: u64,
+    ) {
+        let (dx, dy): (i64, i64) = match axis % 4 {
+            0 => (1, 0),
+            1 => (0, 1),
+            2 => (-1, 0),
+            _ => (0, -1),
+        };
+        let mut v = VertexId(anchor as u32);
+        for step in 0u32.. {
+            if self.closed_until[v.index()] <= t {
+                // Not currently closed, so not in the list yet (expiry
+                // retains exactly the still-closed cells).
+                self.closed_cells.push(v);
+            }
+            self.closed_until[v.index()] = self.closed_until[v.index()].max(until);
+            if step + 1 >= len.max(1) {
+                break;
+            }
+            let c = graph.coord(v);
+            let nx = i64::from(c.x) + dx;
+            let ny = i64::from(c.y) + dy;
+            if nx < 0 || ny < 0 {
+                break;
+            }
+            let Some(w) = graph.vertex_at(Coord::new(nx as u32, ny as u32)) else {
+                break;
+            };
+            if !graph.has_edge(v, w) {
+                break;
+            }
+            v = w;
+        }
+    }
+
+    /// Vacancy-chain grants, O(movers): a move is granted when its target
+    /// is unclaimed and either empty or freed by another granted move.
+    /// Movers into occupied cells wait on the cell, and every grant wakes
+    /// the lowest-indexed waiter of the cell it frees, so convoys resolve
+    /// in one linear sweep. Pure cycles (incl. head-on swaps) never
+    /// self-activate — collision freedom by construction. Granted moves
+    /// then update the occupancy (vacate first, then occupy).
+    fn grant(&mut self, pos: &[VertexId]) {
+        for cell in self.claimed_cells.drain(..) {
+            self.claimed[cell as usize] = false;
+        }
+        for cell in self.waiter_cells.drain(..) {
+            self.waiter_head[cell as usize] = NO_INDEX;
+            self.waiter_tail[cell as usize] = NO_INDEX;
+        }
+        self.grant_queue.clear();
+        for &a in &self.movers {
+            let v = self.desired[a];
+            let vi = v.index();
+            if self.claimed[vi] {
+                // Already granted away to an earlier mover: dead this tick.
+                continue;
+            }
+            if self.occupant[vi] == NO_INDEX {
+                self.granted[a] = true;
+                self.claimed[vi] = true;
+                self.claimed_cells.push(v.0);
+                self.grant_queue.push(a);
+            } else {
+                // Waiter on an occupied cell, appended in ascending agent
+                // order (movers are scanned ascending).
+                self.waiter_next[a] = NO_INDEX;
+                if self.waiter_head[vi] == NO_INDEX {
+                    self.waiter_head[vi] = a as u32;
+                    self.waiter_cells.push(v.0);
+                } else {
+                    self.waiter_next[self.waiter_tail[vi] as usize] = a as u32;
+                }
+                self.waiter_tail[vi] = a as u32;
+            }
+        }
+        let mut qi = 0;
+        while qi < self.grant_queue.len() {
+            let a = self.grant_queue[qi];
+            qi += 1;
+            let freed = pos[a];
+            let head = self.waiter_head[freed.index()];
+            if head != NO_INDEX && !self.claimed[freed.index()] {
+                let b = head as usize;
+                self.granted[b] = true;
+                self.claimed[freed.index()] = true;
+                self.claimed_cells.push(freed.0);
+                self.grant_queue.push(b);
+            }
+        }
+        for &a in &self.movers {
+            if self.granted[a] {
+                self.occupant[pos[a].index()] = NO_INDEX;
+            }
+        }
+        for &a in &self.movers {
+            if self.granted[a] {
+                self.occupant[self.desired[a].index()] = a as u32;
+            }
+        }
+    }
+}
+
+/// The window plan and every agent's cursor into it (on schedule, agent
+/// `a` is at plan index `cursor[a]` at tick `start + cursor[a]`).
+#[derive(Debug)]
+pub(crate) struct Window {
+    plan: Plan,
+    start: u64,
+    len: usize,
+    cursor: Vec<usize>,
+}
+
+impl Window {
+    fn state(&self, a: usize, k: usize) -> AgentState {
+        self.plan.state(a, k).expect("within the window horizon")
+    }
+
+    /// Whether an agent standing on `pos` matches its cursor cell (the
+    /// precondition for following the plan).
+    fn aligned(&self, a: usize, pos: VertexId) -> bool {
+        self.plan
+            .state(a, self.cursor[a])
+            .is_some_and(|s| s.at == pos)
+    }
+
+    /// Ticks from the window start to `t`.
+    fn elapsed(&self, t: u64) -> usize {
+        t.saturating_sub(self.start) as usize
+    }
+
+    /// Agent `a`'s plan lag at tick `t`.
+    fn lag(&self, a: usize, t: u64) -> usize {
+        self.lag_at(t, self.cursor[a])
+    }
+
+    /// The plan lag at tick `t` of an agent at plan index `cursor`.
+    fn lag_at(&self, t: u64, cursor: usize) -> usize {
+        self.elapsed(t).saturating_sub(cursor)
+    }
+
+    /// Length of agent `a`'s *silent run*: the smallest `j ≥ 1` whose plan
+    /// state differs from the cursor's in position or carry (`None`: none
+    /// before the window's end). At cursor 0 that is the realize stage's
+    /// `first_change`; otherwise an amortized-O(1) forward scan.
+    fn silent_run_len(&self, a: usize, pos: VertexId, first_change: u32) -> Option<usize> {
+        let cursor = self.cursor[a];
+        debug_assert!(cursor < self.len);
+        if cursor == 0 {
+            return (first_change != u32::MAX).then_some(first_change as usize);
+        }
+        let carry = self.state(a, cursor).carry;
+        (1..=self.len - cursor).find(|&j| {
+            let s = self.state(a, cursor + j);
+            s.at != pos || s.carry != carry
+        })
+    }
+}
+
+/// The event scheduler. The reference engine keeps all of it virtually
+/// (its processing domain stays `0..n`), which is what keeps the two
+/// engines' event/elision counters byte-identical.
+#[derive(Debug)]
+pub(crate) struct Scheduler {
     sleep: SleepBook,
     queue: BucketQueue,
     active: Vec<u32>,
     due_buf: Vec<u64>,
     first_change: Vec<u32>,
+    engine: SimEngine,
+    /// Agents follow the window plan (`Static`), so slept plan lag banks
+    /// into `max_lag`; under `Auction` it stays 0 by configured policy.
+    plan_lag: bool,
+}
 
-    // Auction task-assignment state (`None` under
-    // [`AssignPolicy::Static`] — static runs pay nothing for the layer).
-    // `nudge_buf` defers yield-nudges of parked blockers to the end of
-    // the tick so mid-sweep sleep accounting stays phase-stable, and
-    // `bids` is the auction's candidate scratch.
+impl Scheduler {
+    pub(crate) fn is_awake(&self, a: usize) -> bool {
+        self.sleep.is_awake(a)
+    }
+
+    /// Materializes a sleeper's analytic cursor (the reference engine,
+    /// which swept the agent for real, asserts they agree instead).
+    fn settle(&self, a: usize, t: u64, cursor: &mut usize, settled: usize) {
+        match self.engine {
+            SimEngine::Event => *cursor = settled,
+            SimEngine::Reference => debug_assert_eq!(
+                settled, *cursor,
+                "virtual sleep of agent {a} diverged from the reference sweep at t={t}"
+            ),
+        }
+    }
+
+    /// Wakes agent `a` at tick `t` (no-op when awake), settling its
+    /// cursor and banking its slept lag peak (monotone, so the final
+    /// value): the wake tick's own fold skips the agent if a repair gets
+    /// spliced onto it this very tick.
+    pub(crate) fn wake(
+        &mut self,
+        a: usize,
+        t: u64,
+        win: &mut Window,
+        carrying: bool,
+        counters: &mut SimCounters,
+    ) {
+        if self.sleep.is_awake(a) {
+            return;
+        }
+        let settled = self.sleep.settled_cursor(a, t, win.len);
+        self.settle(a, t, &mut win.cursor[a], settled);
+        if self.plan_lag {
+            counters.max_lag = counters.max_lag.max(win.lag_at(t, settled) as u64);
+        }
+        self.sleep.wake(a, carrying);
+    }
+
+    /// Pops every event due at tick `t`: wake-ups wake, crossing checks
+    /// flip the frozen sleeper's over-replan flag, stale payloads
+    /// (sequence mismatch) pop silently. Returns whether any agent woke.
+    fn pop_due(
+        &mut self,
+        t: u64,
+        win: &mut Window,
+        fleet: &Fleet,
+        counters: &mut SimCounters,
+    ) -> bool {
+        let due = &mut self.due_buf;
+        self.queue.drain_due(t, |payload| due.push(payload));
+        let mut woke = false;
+        for i in 0..self.due_buf.len() {
+            let (is_check, a, seq) = event::unpack(self.due_buf[i]);
+            if self.sleep.is_awake(a) || self.sleep.seq(a) != seq {
+                continue;
+            }
+            if is_check {
+                if self.sleep.mode(a) == SleepMode::Frozen && self.sleep.mark_over_replan(a) {
+                    counters.events_processed += 1;
+                }
+            } else {
+                self.wake(a, t, win, fleet.carry[a].is_some(), counters);
+                counters.events_processed += 1;
+                woke = true;
+            }
+        }
+        self.due_buf.clear();
+        woke
+    }
+
+    /// Settles every sleeper's cursor without waking it (for the repair
+    /// projector); queued wake-ups stay valid.
+    fn settle_sleepers(&mut self, t: u64, win: &mut Window) {
+        if self.sleep.sleeping == 0 {
+            return;
+        }
+        for a in 0..win.cursor.len() {
+            if !self.sleep.is_awake(a) {
+                let settled = self.sleep.rebase(a, t, win.len);
+                self.settle(a, t, &mut win.cursor[a], settled);
+            }
+        }
+    }
+
+    /// Largest plan lag any sleeper has accrued before tick `t` (0 off
+    /// plan). Sleep lag is non-decreasing, so folding this at replans and
+    /// reports reproduces the reference sweep's tick-by-tick fold.
+    fn pending_lag(&self, t: u64, win: &Window) -> u64 {
+        if !self.plan_lag || self.sleep.sleeping == 0 {
+            return 0;
+        }
+        (0..win.cursor.len())
+            .filter(|&a| !self.sleep.is_awake(a))
+            .map(|a| win.lag_at(t, self.sleep.settled_cursor(a, t, win.len)))
+            .max()
+            .unwrap_or(0) as u64
+    }
+
+    /// Rebuilds the processing domain (awake agents, or everyone under the
+    /// reference sweep); returns the active count, agents minus sleepers.
+    fn build_active(&mut self, n: usize) -> usize {
+        let reference = self.engine == SimEngine::Reference;
+        let sleep = &self.sleep;
+        self.active.clear();
+        self.active
+            .extend((0..n as u32).filter(|&a| reference || sleep.is_awake(a as usize)));
+        n - self.sleep.sleeping
+    }
+}
+
+/// Repair scratch. The reservation table lives as long as the simulation
+/// and is cleared by its touched-list `reset`, so a repair costs
+/// O(reservations projected), never an O(vertices) re-init.
+#[derive(Debug)]
+struct RepairScratch {
+    requests: Vec<RepairRequest>,
+    is_candidate: Vec<bool>,
+    projection: Vec<VertexId>,
+    table: ReservationTable,
+}
+
+/// The lifelong simulator. Borrows the instance; owns everything else,
+/// including the [`Pipeline`] whose realize scratch serves every window
+/// replan — steady-state ticks are allocation-light (only window plans and
+/// task bookkeeping allocate).
+#[derive(Debug)]
+pub struct Simulation<'a> {
+    instance: &'a WspInstance,
+    cycles: AgentCycleSet,
+    pipeline: Pipeline,
+    config: SimConfig,
+
+    stream: TaskStream,
+    deviations: DeviationSchedule,
+    faults: FaultSchedule,
+    fault_buf: Vec<FaultEvent>,
+
+    // Authoritative stock ledger (debited by *executed* pickups) and the
+    // clone handed to each window realization.
+    ledger: LocationMatrix,
+    plan_ledger: LocationMatrix,
+    // Task queues, one FIFO of arrival ticks per product.
+    queues: Vec<VecDeque<u64>>,
+
+    fleet: Fleet,
+    floor: Floor,
+    sched: Scheduler,
+    win: Window,
+    repairs: RepairScratch,
+    // Auction task-assignment state, present exactly under
+    // [`AssignPolicy::Auction`] (static runs pay nothing for the layer).
     auction: Option<Box<AuctionState>>,
-    nudge_buf: Vec<u32>,
-    bids: Vec<AgentBid>,
 
     t: u64,
     last_replan: u64,
@@ -423,82 +822,67 @@ impl<'a> Simulation<'a> {
         let n_products = instance.warehouse.catalog().len();
         let n_stations = instance.warehouse.stations().len();
 
-        let mut occupant = vec![NO_INDEX; n_vertices];
-        for (i, s) in snapshots.iter().enumerate() {
-            occupant[s.pos.index()] = i as u32;
-        }
+        let fleet = Fleet {
+            pos: snapshots.iter().map(|s| s.pos).collect(),
+            carry: snapshots.iter().map(|s| s.carry).collect(),
+            cycle_of: snapshots.iter().map(|s| s.cycle).collect(),
+            step_of: snapshots.iter().map(|s| s.step).collect(),
+            advance_t: snapshots.iter().map(|s| s.advance_t).collect(),
+            stall_until: vec![0; agents],
+            attached: vec![None; agents],
+            repair: (0..agents).map(|_| None).collect(),
+            repair_cooldown_until: vec![0; agents],
+        };
         let executed = config.record.then(|| {
             let mut plan = Plan::new();
-            for s in &snapshots {
-                plan.add_agent(AgentState {
-                    at: s.pos,
-                    carry: s.carry.map_or(Carry::Empty, Carry::Product),
-                });
+            for a in 0..agents {
+                plan.add_agent(fleet.state(a));
             }
             plan
         });
         let mut checksum = Fnv::new();
-        for s in &snapshots {
-            checksum.write(u64::from(s.pos.0));
-            checksum.write(s.carry.map_or(0, |p| u64::from(p.0) + 1));
+        for a in 0..agents {
+            checksum.write(u64::from(fleet.pos[a].0));
+            checksum.write(carry_code(fleet.carry[a]));
         }
 
-        let stream = TaskStream::new(&config.stream);
-        let deviations = DeviationSchedule::new(&config.deviations, agents);
         let auction = (config.assign.policy == AssignPolicy::Auction)
             .then(|| Box::new(AuctionState::new(&instance.warehouse, agents)));
         let mut sim = Simulation {
             instance,
             cycles,
             pipeline,
-            window_len,
-            stream,
-            deviations,
-            stall_buf: Vec::with_capacity(8),
+            stream: TaskStream::new(&config.stream),
+            deviations: DeviationSchedule::new(&config.deviations, agents),
             faults: FaultSchedule::new(&config.faults, agents, n_stations, n_vertices),
             fault_buf: Vec::with_capacity(8),
-            dark_until: vec![0; n_stations],
-            dark_active: 0,
-            closed_until: vec![0; n_vertices],
-            closed_cells: Vec::new(),
             ledger: instance.warehouse.location_matrix().clone(),
             plan_ledger: LocationMatrix::new(),
-            window_plan: Plan::new(),
-            window_start: 0,
-            pos: snapshots.iter().map(|s| s.pos).collect(),
-            carry: snapshots.iter().map(|s| s.carry).collect(),
-            cycle_of: snapshots.iter().map(|s| s.cycle).collect(),
-            step_of: snapshots.iter().map(|s| s.step).collect(),
-            advance_t: snapshots.iter().map(|s| s.advance_t).collect(),
-            cursor: vec![0; agents],
-            stall_until: vec![0; agents],
-            attached: vec![None; agents],
-            repair: (0..agents).map(|_| None).collect(),
-            repair_cooldown_until: vec![0; agents],
             queues: (0..n_products).map(|_| VecDeque::new()).collect(),
-            occupant,
-            claimed: vec![false; n_vertices],
-            claimed_cells: Vec::with_capacity(agents),
-            desired: vec![VertexId(0); agents],
-            granted: vec![false; agents],
-            movers: Vec::with_capacity(agents),
-            waiter_head: vec![NO_INDEX; n_vertices],
-            waiter_tail: vec![NO_INDEX; n_vertices],
-            waiter_next: vec![NO_INDEX; agents],
-            waiter_cells: Vec::with_capacity(agents),
-            grant_queue: Vec::with_capacity(agents),
-            requests: Vec::with_capacity(config.repair.max_batch.max(1)),
-            is_candidate: vec![false; agents],
-            projection: Vec::with_capacity(config.repair.lookahead + 1),
-            repair_table: ReservationTable::new(n_vertices),
-            sleep: SleepBook::new(agents),
-            queue: BucketQueue::new(window_len),
-            active: Vec::with_capacity(agents),
-            due_buf: Vec::with_capacity(16),
-            first_change: Vec::new(),
+            floor: Floor::new(n_vertices, n_stations, &fleet.pos),
+            fleet,
+            sched: Scheduler {
+                sleep: SleepBook::new(agents),
+                queue: BucketQueue::new(window_len),
+                active: Vec::with_capacity(agents),
+                due_buf: Vec::with_capacity(16),
+                first_change: Vec::new(),
+                engine: config.engine,
+                plan_lag: config.assign.policy == AssignPolicy::Static,
+            },
+            win: Window {
+                plan: Plan::new(),
+                start: 0,
+                len: window_len,
+                cursor: vec![0; agents],
+            },
+            repairs: RepairScratch {
+                requests: Vec::with_capacity(config.repair.max_batch.max(1)),
+                is_candidate: vec![false; agents],
+                projection: Vec::with_capacity(config.repair.lookahead + 1),
+                table: ReservationTable::new(n_vertices),
+            },
             auction,
-            nudge_buf: Vec::new(),
-            bids: Vec::with_capacity(agents),
             t: 0,
             last_replan: 0,
             replan_requested: false,
@@ -518,12 +902,12 @@ impl<'a> Simulation<'a> {
 
     /// The effective rolling-horizon window length.
     pub fn window_len(&self) -> usize {
-        self.window_len
+        self.win.len
     }
 
     /// Number of simulated agents.
     pub fn agent_count(&self) -> usize {
-        self.pos.len()
+        self.fleet.pos.len()
     }
 
     /// The cycle set being executed.
@@ -549,15 +933,13 @@ impl<'a> Simulation<'a> {
     /// so mid-run reports match across engines too.
     pub fn report(&self) -> SimReport {
         let mut counters = self.counters.clone();
-        // Under the auction policy agents don't follow the window plan,
-        // so plan lag is meaningless and `max_lag` stays 0 by contract.
-        if self.sleep.sleeping > 0 && self.config.assign.policy == AssignPolicy::Static {
-            counters.max_lag = counters.max_lag.max(self.pending_sleep_lag());
-        }
+        counters.max_lag = counters
+            .max_lag
+            .max(self.sched.pending_lag(self.t, &self.win));
         SimReport {
-            agents: self.pos.len() as u64,
+            agents: self.fleet.pos.len() as u64,
             vertices: self.instance.warehouse.graph().vertex_count() as u64,
-            window: self.window_len as u64,
+            window: self.win.len as u64,
             stream_seed: self.config.stream.seed,
             deviation_seed: self.config.deviations.seed,
             policy: self.config.assign.policy,
@@ -636,11 +1018,23 @@ impl<'a> Simulation<'a> {
         Ok(self.report())
     }
 
+    /// Advances one tick (which the event engine may elide outright when
+    /// every agent is asleep and nothing is scheduled — observable state
+    /// is identical either way).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Pipeline`] if the tick ends on a window boundary and
+    /// the replan fails.
+    pub fn step(&mut self) -> Result<(), SimError> {
+        self.advance_until(self.t + 1)
+    }
+
     /// Advances simulated time to `until`, executing forced ticks and
     /// (under the event engine) skipping provably quiescent stretches.
     fn advance_until(&mut self, until: u64) -> Result<(), SimError> {
         while self.t < until {
-            if self.sleep.sleeping == self.pos.len() {
+            if self.sched.sleep.sleeping == self.fleet.pos.len() {
                 let forced = self.next_forced_tick();
                 if forced > self.t {
                     match self.config.engine {
@@ -660,43 +1054,27 @@ impl<'a> Simulation<'a> {
     }
 
     /// The earliest tick at or after `self.t` that must be executed: the
-    /// window-boundary tick, the next task arrival, the next stall or
-    /// fault firing, the next outage/closure expiry, the next queued
-    /// wake-up / crossing check, and — while a replan is pending
-    /// (requested by a stray rejoin or held open by a frozen sleeper
-    /// past its lag crossing) — the tick the minimum replan gap expires.
+    /// window boundary, the next arrival, stall or fault firing, outage or
+    /// closure expiry (breakdown recoveries ride queued wake-ups), queued
+    /// event, and — while a replan is pending — the minimum-gap expiry.
     fn next_forced_tick(&self) -> u64 {
-        let mut forced = self.window_start + self.window_len as u64 - 1;
-        if let Some(t) = self.stream.next_arrival() {
-            forced = forced.min(t);
+        let mut forced = self.win.start + self.win.len as u64 - 1;
+        for next in [
+            self.stream.next_arrival(),
+            self.deviations.next_fire(),
+            self.faults.next_fire(),
+            self.floor.next_expiry(self.t),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            forced = forced.min(next);
         }
-        if let Some(t) = self.deviations.next_fire() {
-            forced = forced.min(t);
-        }
-        if let Some(t) = self.faults.next_fire() {
-            forced = forced.min(t);
-        }
-        // Fault expiries must execute: a re-opened station or corridor
-        // changes assignment and routing outcomes on that very tick.
-        // (Breakdown recoveries ride the stall wake-ups in the queue.)
-        if self.dark_active > 0 {
-            for &u in &self.dark_until {
-                if u > self.t {
-                    forced = forced.min(u);
-                }
-            }
-        }
-        for &v in &self.closed_cells {
-            let u = self.closed_until[v.index()];
-            if u > self.t {
-                forced = forced.min(u);
-            }
-        }
-        if self.replan_requested || self.sleep.frozen_over_replan > 0 {
+        if self.replan_requested || self.sched.sleep.frozen_over_replan > 0 {
             let gap = (self.last_replan + self.config.min_replan_gap).saturating_sub(1);
             forced = forced.min(gap);
         }
-        if let Some(t) = self.queue.next_event(self.t, forced) {
+        if let Some(t) = self.sched.queue.next_event(self.t, forced) {
             forced = forced.min(t);
         }
         forced.max(self.t)
@@ -706,167 +1084,55 @@ impl<'a> Simulation<'a> {
     /// (plus O(agents) per tick when recording): every agent waits,
     /// sleeping carriers keep carrying, nothing else can change.
     fn elide_to(&mut self, target: u64) {
-        let n = self.pos.len() as u64;
+        let n = self.fleet.pos.len() as u64;
         let k = target - self.t;
         self.counters.ticks += k;
         self.counters.ticks_elided += k;
         self.counters.waits += k * n;
-        self.counters.carrying_ticks += k * self.sleep.sleeping_carriers;
-        if let Some(plan) = self.executed.as_mut() {
-            for _ in 0..k {
-                for a in 0..n as usize {
-                    plan.push_state(
-                        a,
-                        AgentState {
-                            at: self.pos[a],
-                            carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
-                        },
-                    );
-                }
-            }
-        }
+        self.counters.carrying_ticks += k * self.sched.sleep.sleeping_carriers;
+        self.record(k);
         self.t = target;
     }
 
-    /// Largest lag any *sleeping* agent has analytically accrued up to
-    /// (not including) tick `self.t`. Sleep lag is non-decreasing, so the
-    /// peak is the latest value; folding this at replans and into
-    /// [`report`](Self::report) reproduces exactly what the reference
-    /// sweep folds tick by tick.
-    fn pending_sleep_lag(&self) -> u64 {
-        let elapsed = self.t.saturating_sub(self.window_start) as usize;
-        let mut worst = 0usize;
-        for a in 0..self.pos.len() {
-            if !self.sleep.is_awake(a) {
-                let settled = self.sleep.settled_cursor(a, self.t, self.window_len);
-                worst = worst.max(elapsed.saturating_sub(settled));
-            }
-        }
-        worst as u64
-    }
-
-    /// Pops every event due at tick `t`. Valid wake-ups re-activate their
-    /// agent (the event engine materializes the settled cursor; the
-    /// reference engine asserts it matches the truth); valid crossing
-    /// checks flip the frozen sleeper's over-replan flag. Stale payloads
-    /// (sequence mismatch) pop silently.
-    fn pop_due_events(&mut self, t: u64) {
-        let mut due = std::mem::take(&mut self.due_buf);
-        self.queue.drain_due(t, |payload| due.push(payload));
-        for payload in due.drain(..) {
-            let (is_check, a, seq) = event::unpack(payload);
-            if self.sleep.is_awake(a) || self.sleep.seq(a) != seq {
-                continue;
-            }
-            if is_check {
-                if self.sleep.mode(a) == SleepMode::Frozen && self.sleep.mark_over_replan(a) {
-                    self.counters.events_processed += 1;
-                }
-            } else {
-                self.wake(a, t);
-                self.counters.events_processed += 1;
-            }
-        }
-        self.due_buf = due;
-    }
-
-    /// Wakes `agent` at tick `t`, settling its cursor and banking the
-    /// lag peak its sleep accrued (the reference sweep folded it tick by
-    /// tick; sleep lag is monotone, so the final value is the peak — and
-    /// it must be banked *here* because the wake tick's own fold skips
-    /// the agent if a repair gets spliced onto it this very tick).
-    fn wake(&mut self, agent: usize, t: u64) {
-        let settled = self.sleep.settled_cursor(agent, t, self.window_len);
-        match self.config.engine {
-            SimEngine::Event => self.cursor[agent] = settled,
-            SimEngine::Reference => debug_assert_eq!(
-                settled, self.cursor[agent],
-                "virtual sleep of agent {agent} diverged from the reference sweep at t={t}"
-            ),
-        }
-        // Policy (not `self.auction.is_none()`): assignment temporarily
-        // takes the auction state out of its Option while it runs, and it
-        // wakes agents from inside that window — the Option test would
-        // wrongly bank plan lag for them.
-        if self.config.assign.policy == AssignPolicy::Static {
-            let elapsed = t.saturating_sub(self.window_start) as usize;
-            let slept_lag = elapsed.saturating_sub(settled) as u64;
-            self.counters.max_lag = self.counters.max_lag.max(slept_lag);
-        }
-        self.sleep.wake(agent, self.carry[agent].is_some());
-        self.granted[agent] = false;
-        if let Some(auc) = self.auction.as_deref_mut() {
-            // A wake changes the eligible pool (run_assignment's own
-            // winner-wakes happen while the state is taken out of the
-            // Option and are covered by the commit clearing the clean
-            // flag instead).
-            auc.dirty = true;
-        }
-    }
-
-    /// Settles every sleeping agent's cursor in place (without waking)
-    /// so an outside observer — the repair projector — sees current
-    /// state. Queued wake-ups stay valid.
-    fn settle_sleepers(&mut self, t: u64) {
-        if self.sleep.sleeping == 0 {
-            return;
-        }
-        for a in 0..self.pos.len() {
-            if !self.sleep.is_awake(a) {
-                let settled = self.sleep.rebase(a, t, self.window_len);
-                match self.config.engine {
-                    SimEngine::Event => self.cursor[a] = settled,
-                    SimEngine::Reference => debug_assert_eq!(
-                        settled, self.cursor[a],
-                        "virtual sleep of agent {a} diverged at repair projection, t={t}"
-                    ),
+    /// Appends every agent's current state to the executed plan `ticks`
+    /// times (no-op unless recording).
+    fn record(&mut self, ticks: u64) {
+        if let Some(plan) = self.executed.as_mut() {
+            for _ in 0..ticks {
+                for a in 0..self.fleet.pos.len() {
+                    plan.push_state(a, self.fleet.state(a));
                 }
             }
         }
-    }
-
-    /// Whether `agent`'s position matches its window-plan cursor cell (the
-    /// precondition for following the plan).
-    fn aligned(&self, agent: usize) -> bool {
-        self.window_plan
-            .state(agent, self.cursor[agent])
-            .is_some_and(|s| s.at == self.pos[agent])
-    }
-
-    fn component_of(&self, v: VertexId) -> Option<wsp_traffic::ComponentId> {
-        self.instance.traffic.component_of(v)
     }
 
     /// Snapshot the *actual* runtime state and realize the next window
     /// from it through the pipeline's realize stage.
     fn replan(&mut self) -> Result<(), SimError> {
         let t = self.t;
-        // Sleep lag folds lazily; bank the accrued peak before the replan
-        // wipes the ledger (cursors need no materializing — they reset to
-        // zero below and the snapshots don't read them).
-        if self.sleep.sleeping > 0 && self.config.assign.policy == AssignPolicy::Static {
-            self.counters.max_lag = self.counters.max_lag.max(self.pending_sleep_lag());
-        }
-        self.sleep.reset();
-        self.queue.clear(t);
-        // Under the auction policy agents execute missions instead of the
-        // window plan, so the realize stage is told to treat every agent
-        // as detached: the window realizes with all of them parked as
-        // static obstacles and the replan machinery (boundary cadence,
-        // ledger snapshots, counters) keeps running unchanged.
+        // Bank the lazily folded sleep lag before the ledger reset (the
+        // cursors reset to zero below, so they need no settling).
+        self.counters.max_lag = self
+            .counters
+            .max_lag
+            .max(self.sched.pending_lag(t, &self.win));
+        self.sched.sleep.reset();
+        self.sched.queue.clear(t);
+        // Auction agents execute missions, not the window plan, so the
+        // window realizes with every agent detached (parked) while the
+        // replan cadence keeps running. Waking everyone dirties the pool.
         let detached = self.auction.is_some();
         if let Some(auc) = self.auction.as_deref_mut() {
-            // The replan wakes every agent (sleep ledger reset) — the
-            // eligible pool changes, so the next pass must really run.
             auc.dirty = true;
         }
-        let snapshots: Vec<AgentSnapshot> = (0..self.pos.len())
+        let fleet = &self.fleet;
+        let snapshots: Vec<AgentSnapshot> = (0..fleet.pos.len())
             .map(|a| AgentSnapshot {
-                cycle: self.cycle_of[a],
-                step: self.step_of[a],
-                pos: self.pos[a],
-                carry: self.carry[a],
-                advance_t: self.advance_t[a],
+                cycle: fleet.cycle_of[a],
+                step: fleet.step_of[a],
+                pos: fleet.pos[a],
+                carry: fleet.carry[a],
+                advance_t: fleet.advance_t[a],
                 detached,
             })
             .collect();
@@ -875,14 +1141,14 @@ impl<'a> Simulation<'a> {
             self.instance,
             &self.cycles,
             t as usize,
-            self.window_len,
+            self.win.len,
             &snapshots,
             &mut self.plan_ledger,
         )?;
-        self.window_plan = out.plan;
-        self.first_change = out.first_change;
-        self.window_start = t;
-        self.cursor.fill(0);
+        self.win.plan = out.plan;
+        self.win.start = t;
+        self.win.cursor.fill(0);
+        self.sched.first_change = out.first_change;
         self.last_replan = t;
         self.replan_requested = false;
         self.counters.replans += 1;
@@ -890,35 +1156,23 @@ impl<'a> Simulation<'a> {
         // Repairs of on-component agents are healed by the replan itself;
         // off-component agents keep their detour but now rejoin as strays
         // (park until the next replan re-anchors them).
-        for a in 0..self.pos.len() {
-            if self.repair[a].is_none() {
+        for a in 0..self.fleet.pos.len() {
+            let Some(r) = self.fleet.repair[a].as_mut() else {
                 continue;
-            }
-            let comp = self.cycles.cycles()[self.cycle_of[a]].steps()[self.step_of[a]].component;
+            };
+            let step = self.cycles.cycles()[self.fleet.cycle_of[a]].steps()[self.fleet.step_of[a]];
             let on_component = self
                 .instance
                 .traffic
-                .locate(self.pos[a])
-                .is_some_and(|(owner, _)| owner == comp);
+                .locate(self.fleet.pos[a])
+                .is_some_and(|(owner, _)| owner == step.component);
             if on_component {
-                self.repair[a] = None;
-            } else if let Some(r) = self.repair[a].as_mut() {
+                self.fleet.repair[a] = None;
+            } else {
                 r.rejoin_cursor = STRAY_REJOIN;
             }
         }
         Ok(())
-    }
-
-    /// Advances one tick (which the event engine may elide outright when
-    /// every agent is asleep and nothing is scheduled — observable state
-    /// is identical either way).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Pipeline`] if the tick ends on a window boundary and
-    /// the replan fails.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        self.advance_until(self.t + 1)
     }
 
     /// Executes one tick for real: both engines share this body, the only
@@ -927,329 +1181,186 @@ impl<'a> Simulation<'a> {
     /// [`SimEngine::Reference`].
     fn step_executed(&mut self) -> Result<(), SimError> {
         let t = self.t;
-        let n = self.pos.len();
+        let n = self.fleet.pos.len();
         let reference = self.config.engine == SimEngine::Reference;
+        let graph = self.instance.warehouse.graph();
 
-        // 0. Scheduler: pop due wake-ups and crossing checks.
-        self.pop_due_events(t);
+        // 0. Scheduler: pop due wake-ups and crossing checks. A wake
+        // changes the auction's eligible pool.
+        let woke = self
+            .sched
+            .pop_due(t, &mut self.win, &self.fleet, &mut self.counters);
+        if let Some(auc) = self.auction.as_deref_mut().filter(|_| woke) {
+            auc.dirty = true;
+        }
 
         // 1. Arrivals. Under the auction policy tasks land in the global
         // assignment queue instead of the per-product execution queues.
         for task in self.stream.arrivals_at(t) {
-            if let Some(auc) = self.auction.as_mut() {
-                auc.pending.push_back(PendingTask {
-                    product: task.product,
-                    arrival: task.arrival,
-                });
-                auc.dirty = true;
-            } else {
-                self.queues[task.product.index()].push_back(task.arrival);
+            match self.auction.as_deref_mut() {
+                Some(auc) => {
+                    auc.pending.push_back(*task);
+                    auc.dirty = true;
+                }
+                None => self.queues[task.product.index()].push_back(task.arrival),
             }
             self.counters.injected += 1;
             self.counters.queued += 1;
             self.counters.events_processed += 1;
         }
 
-        // 2. Deviations. A stall ends a victim's sleep: its remaining
-        // ticks would no longer be cursor-advancing no-ops.
-        self.stall_buf.clear();
-        let buf = &mut self.stall_buf;
-        self.deviations.fire_at(t, |s| buf.push(s));
-        for i in 0..self.stall_buf.len() {
-            let s = self.stall_buf[i];
+        // 2. Deviations. A stall ends a victim's sleep (its remaining
+        // ticks would no longer be cursor-advancing no-ops) and changes
+        // auction eligibility (`t >= stall_until`).
+        let (fleet, sched, win, counters) = (
+            &mut self.fleet,
+            &mut self.sched,
+            &mut self.win,
+            &mut self.counters,
+        );
+        let mut stalled = false;
+        self.deviations.fire_at(t, |s| {
             let until = t + u64::from(s.ticks);
-            self.stall_until[s.agent] = self.stall_until[s.agent].max(until);
-            self.counters.stalls_injected += 1;
-            self.counters.stall_ticks_injected += u64::from(s.ticks);
-            self.counters.events_processed += 1;
-            if let Some(auc) = self.auction.as_deref_mut() {
-                // Eligibility (`t >= stall_until`) just changed.
-                auc.dirty = true;
-            }
-            if !self.sleep.is_awake(s.agent) {
-                self.wake(s.agent, t);
-            }
+            fleet.stall_until[s.agent] = fleet.stall_until[s.agent].max(until);
+            counters.stalls_injected += 1;
+            counters.stall_ticks_injected += u64::from(s.ticks);
+            counters.events_processed += 1;
+            sched.wake(s.agent, t, win, fleet.carry[s.agent].is_some(), counters);
+            stalled = true;
+        });
+        if let Some(auc) = self.auction.as_deref_mut() {
+            auc.dirty |= stalled;
         }
 
-        // 2f. Structural faults: expire elapsed outages and closures
-        // first (a resource with `until == t` is open *at* `t`, the
-        // stall convention), then fire this tick's seeded fault events.
-        // Fires and expiries land only on forced ticks and are applied
-        // identically by both engines, which is what keeps elision and
-        // the auction's dirty-set skip sound with chaos on.
+        // 2f. Structural faults: expiries first (`until == t` is open at
+        // `t`), then this tick's fires — forced ticks only, identical in
+        // both engines, so elision and the dirty-set skip stay sound.
         if self.config.faults.enabled() {
-            self.expire_faults(t);
+            // A re-opened station or corridor makes new assignments and
+            // routes possible this very tick.
+            let reopened = self.floor.expire(t);
+            if let Some(auc) = self.auction.as_deref_mut() {
+                auc.dirty |= reopened;
+            }
             self.fault_buf.clear();
             let buf = &mut self.fault_buf;
             self.faults.fire_at(t, |e| buf.push(e));
             for i in 0..self.fault_buf.len() {
-                let e = self.fault_buf[i];
-                self.apply_fault(e, t);
+                self.apply_fault(self.fault_buf[i], t);
             }
         }
 
-        // 2c. Auction task assignment (both engines, identically: its
-        // decisions are a pure function of the queue and agent states).
-        // Runs before the active set is built so fresh assignees are
-        // swept — and can move — this very tick. Skipped outright when
-        // the pass is provably a no-op (see [`Self::auction_phase_skippable`]):
-        // this is what makes quiet stretches O(dirty work) instead of
-        // O(ticks), and — with every idle agent asleep — lets the event
-        // engine elide them entirely.
-        if self.auction.is_some() && !self.auction_phase_skippable() {
-            self.run_assignment(t);
-        }
-
-        // 2b. The processing domain: awake agents (ascending), or every
-        // agent under the reference sweep. Either way the *active* count
-        // this tick is agents-minus-sleepers.
-        self.active.clear();
-        if reference {
-            self.active.extend(0..n as u32);
-        } else {
-            for a in 0..n {
-                if self.sleep.is_awake(a) {
-                    self.active.push(a as u32);
-                }
+        // 2c. Auction assignment, before the active set is built so fresh
+        // assignees move this very tick. Skipping provable no-op passes
+        // makes quiet stretches O(dirty work) and lets them elide.
+        if let Some(auc) = self.auction.as_deref_mut() {
+            if !auc.skippable(&self.sched) {
+                let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+                auc.assign(
+                    roads,
+                    &self.fleet,
+                    &mut self.sched,
+                    &mut self.win,
+                    &mut self.counters,
+                );
             }
-            debug_assert_eq!(self.active.len(), n - self.sleep.sleeping);
         }
-        self.counters.active_agent_ticks += (n - self.sleep.sleeping) as u64;
 
-        // 3. MAPF catch-up repair. Auction agents don't follow the
-        // window plan, so there is no schedule to catch up to — the
-        // candidate filter would reject everyone anyway; skip the scan.
+        // 2b. The processing domain.
+        self.counters.active_agent_ticks += self.sched.build_active(n) as u64;
+
+        // 3. MAPF catch-up repair (auction agents have no schedule to
+        // catch up to).
         if self.config.repair.enabled && self.auction.is_none() {
             self.try_repairs(t);
         }
 
-        // 4. Desired moves.
-        self.movers.clear();
-        for cell in self.claimed_cells.drain(..) {
-            self.claimed[cell as usize] = false;
-        }
-        for i in 0..self.active.len() {
-            let a = self.active[i] as usize;
-            self.granted[a] = false;
-            let d = if t < self.stall_until[a] {
-                self.pos[a]
-            } else if let Some(auc) = self.auction.as_deref() {
-                // Mission route next hop; idle auction agents park.
-                auc.missions[a]
-                    .as_ref()
-                    .map_or(self.pos[a], |m| m.desired(self.pos[a]))
-            } else if let Some(r) = &self.repair[a] {
-                if r.at + 1 < r.path.len() {
-                    r.path[r.at + 1]
-                } else {
-                    self.pos[a]
-                }
-            } else if self.aligned(a) && self.cursor[a] < self.window_len {
-                self.window_plan
-                    .state(a, self.cursor[a] + 1)
-                    .expect("cursor below horizon")
-                    .at
-            } else {
-                self.pos[a]
-            };
-            // A move into a closed corridor cell is vetoed into a wait:
-            // missions hit their blocked → reroute → wedge path, plan
-            // followers lag and catch up via repair or replan. The gate
-            // only ever turns moves into stays — stationary (and so
-            // sleeping) agents are untouched, which keeps every sleep
-            // contract intact.
-            let d = if d != self.pos[a] && self.closed_until[d.index()] > t {
-                self.pos[a]
+        // 4. Desired moves. A move into a closed cell becomes a wait
+        // (missions then reroute or wedge, plan followers lag); the gate
+        // never touches stationary, so sleeping, agents.
+        self.floor.movers.clear();
+        for i in 0..self.sched.active.len() {
+            let a = self.sched.active[i] as usize;
+            let here = self.fleet.pos[a];
+            let d = self.desired_cell(a, t);
+            let d = if d != here && self.floor.closed(t).blocks(d) {
+                here
             } else {
                 d
             };
-            self.desired[a] = d;
-            if reference && !self.sleep.is_awake(a) {
-                // Oracle check: a virtually sleeping agent must be
-                // exactly as quiescent as its sleep mode promised.
-                debug_assert_eq!(
-                    d, self.pos[a],
-                    "virtually sleeping agent {a} wanted to move at t={t}"
-                );
-            }
-            if d != self.pos[a] {
-                self.movers.push(a);
+            debug_assert!(
+                !reference || self.sched.is_awake(a) || d == here,
+                "virtually sleeping agent {a} wanted to move at t={t}"
+            );
+            self.floor.granted[a] = false;
+            self.floor.desired[a] = d;
+            if d != here {
+                self.floor.movers.push(a);
             }
         }
 
-        // 5. Vacancy-chain grants, O(movers): a move is granted when its
-        // target is unclaimed and either empty or freed by another granted
-        // move. Movers into occupied cells register as waiters on the
-        // cell; every grant then wakes the lowest-indexed waiter of the
-        // freed cell, so convoy chains thousands of agents long resolve in
-        // one linear sweep instead of a quadratic fixpoint. Pure cycles
-        // (incl. head-on swaps) can never self-activate, so only
-        // conflict-free chains execute — collision freedom by
-        // construction, at any deviation load.
-        for cell in self.waiter_cells.drain(..) {
-            self.waiter_head[cell as usize] = NO_INDEX;
-            self.waiter_tail[cell as usize] = NO_INDEX;
-        }
-        self.grant_queue.clear();
-        for &a in &self.movers {
-            let v = self.desired[a];
-            let vi = v.index();
-            if self.claimed[vi] {
-                // Already granted away to an earlier mover: dead this tick.
-                continue;
-            }
-            if self.occupant[vi] == NO_INDEX {
-                self.granted[a] = true;
-                self.claimed[vi] = true;
-                self.claimed_cells.push(v.0);
-                self.grant_queue.push(a);
-            } else {
-                // Waiter on an occupied cell, appended in ascending agent
-                // order (movers are scanned ascending).
-                self.waiter_next[a] = NO_INDEX;
-                if self.waiter_head[vi] == NO_INDEX {
-                    self.waiter_head[vi] = a as u32;
-                    self.waiter_cells.push(v.0);
-                } else {
-                    self.waiter_next[self.waiter_tail[vi] as usize] = a as u32;
-                }
-                self.waiter_tail[vi] = a as u32;
-            }
-        }
-        let mut qi = 0;
-        while qi < self.grant_queue.len() {
-            let a = self.grant_queue[qi];
-            qi += 1;
-            let freed = self.pos[a];
-            let head = self.waiter_head[freed.index()];
-            if head != NO_INDEX && !self.claimed[freed.index()] {
-                let b = head as usize;
-                self.granted[b] = true;
-                self.claimed[freed.index()] = true;
-                self.claimed_cells.push(freed.0);
-                self.grant_queue.push(b);
-            }
-        }
+        // 5–6. Vacancy-chain grants, applied to the occupancy table.
+        self.floor.grant(&self.fleet.pos);
 
-        // 6. Apply moves (vacate first, then occupy, so chains are safe).
-        for &a in &self.movers {
-            if self.granted[a] {
-                self.occupant[self.pos[a].index()] = NO_INDEX;
-            }
-        }
-        for &a in &self.movers {
-            if self.granted[a] {
-                self.occupant[self.desired[a].index()] = a as u32;
-            }
-        }
-
-        // 7. Per-agent advancement, events, counters, and the per-change
-        // trajectory checksum (ascending agent order keeps the digest
-        // canonical; agents outside the domain can contribute no change
-        // by construction, so the two engines write identical streams).
+        // 7. Per-agent advancement, events, counters and the per-change
+        // checksum (ascending agent order keeps the digest canonical;
+        // agents outside the domain cannot change).
         let mut max_lag = 0u64;
-        for i in 0..self.active.len() {
-            let a = self.active[i] as usize;
-            let old = self.pos[a];
-            let old_carry = self.carry[a];
-            let moved = self.granted[a];
+        for i in 0..self.sched.active.len() {
+            let a = self.sched.active[i] as usize;
+            let old = self.fleet.pos[a];
+            let old_carry = self.fleet.carry[a];
+            let moved = self.floor.granted[a];
             if moved {
-                self.pos[a] = self.desired[a];
+                self.fleet.pos[a] = self.floor.desired[a];
                 self.counters.moves += 1;
             } else {
                 self.counters.waits += 1;
             }
 
-            if t < self.stall_until[a] {
+            if t < self.fleet.stall_until[a] {
                 // Frozen: no cursor/repair/mission progress, no events.
-            } else if self.auction.is_some() {
-                self.step_mission(a, old, moved, t);
-            } else if self.repair[a].is_some() {
-                let done = {
-                    let r = self.repair[a].as_mut().expect("checked");
-                    let wanted_wait = r.at + 1 >= r.path.len() || r.path[r.at + 1] == old;
-                    if moved || wanted_wait {
-                        r.at = (r.at + 1).min(r.path.len() - 1);
-                    }
-                    r.at + 1 >= r.path.len() && self.pos[a] == *r.path.last().expect("non-empty")
-                };
-                if done {
-                    let rejoin = self.repair[a].as_ref().expect("checked").rejoin_cursor;
-                    self.repair[a] = None;
-                    self.counters.events_processed += 1;
-                    if rejoin == STRAY_REJOIN {
-                        // Parked off-plan; ask for a replan to re-anchor.
-                        self.replan_requested = true;
-                    } else {
-                        self.cursor[a] = rejoin;
-                    }
-                }
-            } else if let Some(cur) = self.window_plan.state(a, self.cursor[a]) {
-                if cur.at == old && self.cursor[a] < self.window_len {
-                    let next = self
-                        .window_plan
-                        .state(a, self.cursor[a] + 1)
-                        .expect("below horizon");
-                    let advanced = next.at == old || moved;
-                    if advanced {
-                        self.apply_carry_event(a, cur.carry, next.carry, old, t);
-                        if next.at != old {
-                            let hop = self.component_of(next.at) != self.component_of(old);
-                            if hop {
-                                let len = self.cycles.cycles()[self.cycle_of[a]].steps().len();
-                                self.step_of[a] = (self.step_of[a] + 1) % len;
-                                self.advance_t[a] = (t + 1) as i64;
-                            }
-                        }
-                        self.cursor[a] += 1;
-                    }
-                }
+            } else if let Some(auc) = self.auction.as_deref_mut() {
+                let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+                auc.step_mission(
+                    a,
+                    old,
+                    roads,
+                    &mut self.fleet,
+                    &mut self.ledger,
+                    &mut self.counters,
+                );
+            } else {
+                self.advance_on_plan(a, old, moved, t);
             }
 
-            if self.carry[a].is_some() {
+            if self.fleet.carry[a].is_some() {
                 self.counters.carrying_ticks += 1;
             }
-            // Lag of plan-following agents (repairing/stray agents are
-            // re-anchored by rejoin or replan instead; auction agents
-            // don't follow the plan at all, so their lag is undefined
-            // and `max_lag` stays 0 by contract). Sleeping agents are
-            // absent here under the event engine; their (monotone) lag
-            // folds at wake-up, replan, or report time instead.
-            if self.config.assign.policy == AssignPolicy::Static && self.repair[a].is_none() {
-                let scheduled = (t + 1).saturating_sub(self.window_start) as usize;
-                let lag = scheduled.saturating_sub(self.cursor[a]) as u64;
-                max_lag = max_lag.max(lag);
+            // Lag of plan followers (repairing agents re-anchor by rejoin
+            // or replan; auction agents have none). Sleepers' lag folds at
+            // wake-up, replan, or report time instead.
+            if self.auction.is_none() && self.fleet.repair[a].is_none() {
+                max_lag = max_lag.max(self.win.lag(a, t + 1) as u64);
             }
-            // Checksum the state *change*, if any, at t + 1. Quiescent
-            // agents write nothing, which is exactly what lets elided
+            // Checksum the state *change* at t + 1, if any, so elided
             // ticks leave the digest untouched.
-            if self.pos[a] != old || self.carry[a] != old_carry {
+            let (pos, carry) = (self.fleet.pos[a], self.fleet.carry[a]);
+            if pos != old || carry != old_carry {
                 self.checksum.write(((t + 1) << 21) | a as u64);
-                self.checksum.write(
-                    (u64::from(self.pos[a].0) << 32)
-                        | self.carry[a].map_or(0, |p| u64::from(p.0) + 1),
-                );
+                self.checksum
+                    .write((u64::from(pos.0) << 32) | carry_code(carry));
             }
         }
         self.counters.max_lag = self.counters.max_lag.max(max_lag);
 
         // 8. Sleeping agents under the event engine: bulk-account their
         // waits and carries; record everyone at t + 1 when asked to.
-        if !reference && self.sleep.sleeping > 0 {
-            self.counters.waits += self.sleep.sleeping as u64;
-            self.counters.carrying_ticks += self.sleep.sleeping_carriers;
+        if !reference && self.sched.sleep.sleeping > 0 {
+            self.counters.waits += self.sched.sleep.sleeping as u64;
+            self.counters.carrying_ticks += self.sched.sleep.sleeping_carriers;
         }
-        if let Some(plan) = self.executed.as_mut() {
-            for a in 0..n {
-                plan.push_state(
-                    a,
-                    AgentState {
-                        at: self.pos[a],
-                        carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
-                    },
-                );
-            }
-        }
+        self.record(1);
 
         self.counters.ticks += 1;
         debug_assert!(
@@ -1262,14 +1373,17 @@ impl<'a> Simulation<'a> {
             self.counters.queued,
         );
 
-        // 8b. Apply deferred yield-nudges: blocked mission agents asked
-        // parked blockers to drift clear. Applied here — after the
-        // sweep's wait/carry accounting — so waking a sleeping blocker
-        // cannot skew this tick's bulk bookkeeping; the buffer order is
-        // the sweep's ascending blocked-agent order, identical under
-        // both engines (only mission agents, always awake, file nudges).
-        if self.auction.is_some() && !self.nudge_buf.is_empty() {
-            self.apply_nudges(t);
+        // 8b. Deferred yield-nudges, after the bulk accounting so waking
+        // a sleeping blocker cannot skew it.
+        if let Some(auc) = self.auction.as_deref_mut() {
+            let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+            auc.apply_nudges(
+                roads,
+                &self.fleet,
+                &mut self.sched,
+                &mut self.win,
+                &mut self.counters,
+            );
         }
 
         // 9. Window boundary / early replan (boundaries are mandatory;
@@ -1277,806 +1391,192 @@ impl<'a> Simulation<'a> {
         // count stands in for sleeping agents whose lag passed the
         // threshold — the awake sweep would have seen exactly them.
         self.t = t + 1;
-        let boundary = (self.t - self.window_start) as usize >= self.window_len;
+        let boundary = self.win.elapsed(self.t) >= self.win.len;
         let early = (self.replan_requested
             || (self.config.replan_lag > 0 && max_lag as usize >= self.config.replan_lag)
-            || self.sleep.frozen_over_replan > 0)
+            || self.sched.sleep.frozen_over_replan > 0)
             && self.t - self.last_replan >= self.config.min_replan_gap;
         if boundary || early {
             self.replan()?;
         } else {
-            // 10. Sleep decisions for the agents just processed (under
-            // the reference sweep this books the sleep virtually; agents
-            // stay in the domain). After a replan everyone stays awake
-            // for the fresh window's first tick instead.
-            for i in 0..self.active.len() {
-                let a = self.active[i] as usize;
-                if self.sleep.is_awake(a) {
-                    if self.auction.is_some() {
-                        self.maybe_sleep_auction(a);
-                    } else {
-                        self.maybe_sleep(a);
-                    }
+            // 10. Sleep decisions (virtual under the reference sweep).
+            // After a replan everyone stays awake for one tick instead.
+            for i in 0..self.sched.active.len() {
+                let a = self.sched.active[i] as usize;
+                if self.sched.is_awake(a) {
+                    self.maybe_sleep(a);
                 }
             }
         }
         Ok(())
     }
 
-    /// Auction assignment phase, run identically by both engines at the
-    /// top of every executed tick: one rotation over the pending queue
-    /// matching each task to its cheapest `(station, site)` pair and the
-    /// nearest eligible agent, with same-product batching; then, when
-    /// the queue is drained and an agent just went idle, an idle-
-    /// rebalance pass staging agents near high-pressure stations.
-    ///
-    /// Everything here is a pure index-deterministic function of the
-    /// queue, the agent states, and the tick: candidate order is agent
-    /// order, winners come from [`select_agent`]'s `(cost, agent)`
-    /// minimum, and unassignable tasks rotate to the queue's back in
-    /// arrival order. No wall clock, no thread count — and no per-tick
-    /// work caps, so elided quiescent stretches provably contain no
-    /// assignment the reference sweep would have made (see
-    /// [`maybe_sleep_auction`](Self::maybe_sleep_auction) and the
-    /// dirty-set skip in [`auction_phase_skippable`](Self::auction_phase_skippable)).
-    ///
-    /// On exit the pass records whether it was *clean* — committed
-    /// nothing and left the queue in arrival order (a full dry rotation
-    /// or an immediate no-eligible-agents bail) — which, with the dirty
-    /// flag staying clear, licenses skipping the next pass outright.
-    fn run_assignment(&mut self, t: u64) {
-        let Some(mut auc) = self.auction.take() else {
-            return;
-        };
-        let cfg = self.config.assign.clone();
-        let graph = self.instance.warehouse.graph();
-        let n = self.pos.len();
-        auc.dirty = false;
-        let mut rotations = 0usize;
-        let mut committed = false;
-
-        let mut rounds = auc.pending.len();
-        'tasks: while rounds > 0 {
-            rounds -= 1;
-            let Some(&task) = auc.pending.front() else {
-                break;
-            };
-            let Some((q, site)) = auc.pick_station_site(task.product, cfg.station_bias) else {
-                // No stocked, field-reachable site right now: rotate the
-                // task to the back and look at the next one.
-                let task = auc.pending.pop_front().expect("front checked");
-                auc.pending.push_back(task);
-                rotations += 1;
-                continue;
-            };
-            // The nearest eligible agent by undirected BFS distance from
-            // the pickup site, probing escalating neighbourhood caps so
-            // the common case never scans the whole floor; each
-            // escalation resumes the previous cap's frontier instead of
-            // re-running the BFS from scratch.
-            self.bids.clear();
-            let mut probe = None;
-            for cap in [32u32, 128, 512, u32::MAX] {
-                match probe.as_mut() {
-                    None => {
-                        probe = Some(graph.bfs_bounded_begin(
-                            site,
-                            cap,
-                            &mut auc.probe_dist,
-                            &mut auc.probe_touched,
-                        ));
-                    }
-                    Some(cursor) => graph.bfs_bounded_resume(
-                        cursor,
-                        cap,
-                        &mut auc.probe_dist,
-                        &mut auc.probe_touched,
-                    ),
-                }
-                self.bids.clear();
-                let mut any_eligible = false;
-                for a in 0..n {
-                    // The carry check bars a recovered agent still
-                    // hauling a shed task's stranded unit from taking a
-                    // new pickup; fault-free it is vacuous (an agent
-                    // only carries inside a task mission or with a drop
-                    // action pending, and neither is replaceable).
-                    let eligible = t >= self.stall_until[a]
-                        && self.carry[a].is_none()
-                        && auc.missions[a].as_ref().is_none_or(Mission::replaceable);
-                    if !eligible {
-                        continue;
-                    }
-                    any_eligible = true;
-                    let d = auc.probe_dist[self.pos[a].index()];
-                    if d != u32::MAX {
-                        self.bids.push(AgentBid {
-                            agent: a as u32,
-                            cost: d,
-                        });
-                    }
-                }
-                if !any_eligible {
-                    // Eligibility is task-independent: nobody can take
-                    // any task this tick.
-                    break 'tasks;
-                }
-                if !self.bids.is_empty() {
-                    break;
-                }
-            }
-            // Auction order over the probed slate; a winner whose field
-            // route is missing (rare: the field strongly connects these
-            // maps) or longer than the route cap (a pathological
-            // floor-width detour) falls through to the next-best bid.
-            let mut commit = None;
-            while let Some(bid) = select_agent(&self.bids) {
-                self.bids.retain(|b| b.agent != bid.agent);
-                let from = self.pos[bid.agent as usize];
-                if let Some(path) = auc
-                    .route(
-                        graph,
-                        from,
-                        site,
-                        None,
-                        ClosedSet {
-                            until: &self.closed_until,
-                            t,
-                        },
-                    )
-                    .filter(|p| p.len() <= cfg.route_cap as usize)
-                {
-                    commit = Some((bid.agent as usize, path));
-                    break;
-                }
-            }
-            let Some((a, path)) = commit else {
-                // Eligible agents exist but none can reach this site;
-                // rotate and retry later (stock or topology may change).
-                let task = auc.pending.pop_front().expect("front checked");
-                auc.pending.push_back(task);
-                rotations += 1;
-                continue;
-            };
-            committed = true;
-
-            // Commit: reserve stock, build the leg list (batching queued
-            // same-product tasks onto this agent), install the mission.
-            auc.pending.pop_front();
-            auc.reserved.remove_units(site, task.product, 1);
-            auc.open[q as usize] += 1;
-            let mut legs = VecDeque::with_capacity(2 * cfg.batch.max(1));
-            legs.push_back(Leg {
-                goal: site,
-                action: LegAction::Pickup {
-                    product: task.product,
-                    arrival: task.arrival,
-                },
-            });
-            legs.push_back(Leg {
-                goal: auc.stations[q as usize],
-                action: LegAction::Drop {
-                    arrival: task.arrival,
-                    station: q,
-                },
-            });
-            self.counters.assignments_made += 1;
-            self.counters.events_processed += 1;
-            let mut q_prev = q;
-            let mut extras = cfg.batch.saturating_sub(1);
-            let mut i = 0;
-            while extras > 0 && i < auc.pending.len() {
-                if auc.pending[i].product != task.product {
-                    i += 1;
-                    continue;
-                }
-                let Some((q2, s2)) = auc.pick_followup(task.product, q_prev, cfg.station_bias)
-                else {
-                    break;
-                };
-                let extra = auc.pending.remove(i).expect("index in range");
-                auc.reserved.remove_units(s2, task.product, 1);
-                auc.open[q2 as usize] += 1;
-                legs.push_back(Leg {
-                    goal: s2,
-                    action: LegAction::Pickup {
-                        product: extra.product,
-                        arrival: extra.arrival,
-                    },
-                });
-                legs.push_back(Leg {
-                    goal: auc.stations[q2 as usize],
-                    action: LegAction::Drop {
-                        arrival: extra.arrival,
-                        station: q2,
-                    },
-                });
-                self.counters.assignments_made += 1;
-                self.counters.events_processed += 1;
-                q_prev = q2;
-                extras -= 1;
-            }
-            if let Some(qq) = auc.staged_of[a].take() {
-                auc.staged[qq as usize] -= 1;
-            }
-            auc.missions[a] = Some(Mission {
-                kind: MissionKind::Task,
-                path,
-                at: 0,
-                legs,
-                action: None,
-                blocked: 0,
-                wedged: false,
-            });
-            if !self.sleep.is_awake(a) {
-                self.wake(a, t);
-            }
-        }
-
-        // Idle rebalance: only when the queue is drained (pending tasks
-        // outrank staging for every idle agent) and an agent went idle
-        // since the last pass.
-        if auc.pending.is_empty() && auc.idle_dirty {
-            auc.idle_dirty = false;
-            let per = cfg.rebalance_per_station as u32;
-            if per > 0 && !auc.stations.is_empty() {
-                let mut pool = 0u32;
-                for a in 0..n {
-                    if auc.missions[a].is_none()
-                        && auc.staged_of[a].is_none()
-                        && t >= self.stall_until[a]
-                        && self.carry[a].is_none()
-                    {
-                        pool += 1;
-                    }
-                }
-                let mut order: Vec<u16> = (0..auc.stations.len() as u16).collect();
-                order.sort_unstable_by_key(|&q| {
-                    (
-                        auc.staged[q as usize],
-                        std::cmp::Reverse(auc.open[q as usize]),
-                        q,
-                    )
-                });
-                'stations: for &q in &order {
-                    if auc.dark[q as usize] {
-                        // No point staging idle agents at a dark
-                        // station; its backlog redistributes instead.
-                        continue;
-                    }
-                    while auc.staged[q as usize] < per {
-                        if pool == 0 {
-                            break 'stations;
-                        }
-                        let anchor = auc.anchors[q as usize];
-                        // The bid slate the retired escalating-cap BFS
-                        // probes produced, reconstructed exactly from the
-                        // anchor's cached full field: the slate is every
-                        // eligible idle agent within the first cap that
-                        // catches the nearest one (bounded BFS yields
-                        // exact distances within its cap, so field
-                        // lookups are value-identical).
-                        self.bids.clear();
-                        let field = auc.fields.anchor_field(q as usize);
-                        let mut dmin = u32::MAX;
-                        for a in 0..n {
-                            if auc.missions[a].is_some()
-                                || auc.staged_of[a].is_some()
-                                || t < self.stall_until[a]
-                                || self.carry[a].is_some()
-                            {
-                                continue;
-                            }
-                            dmin = dmin.min(field[self.pos[a].index()]);
-                        }
-                        if dmin != u32::MAX {
-                            let cap = *[32u32, 128, 512, u32::MAX]
-                                .iter()
-                                .find(|&&c| dmin <= c)
-                                .expect("u32::MAX cap catches everything");
-                            for a in 0..n {
-                                if auc.missions[a].is_some()
-                                    || auc.staged_of[a].is_some()
-                                    || t < self.stall_until[a]
-                                    || self.carry[a].is_some()
-                                {
-                                    continue;
-                                }
-                                let d = field[self.pos[a].index()];
-                                if d <= cap {
-                                    self.bids.push(AgentBid {
-                                        agent: a as u32,
-                                        cost: d,
-                                    });
-                                }
-                            }
-                        }
-                        let mut commit = None;
-                        while let Some(bid) = select_agent(&self.bids) {
-                            self.bids.retain(|b| b.agent != bid.agent);
-                            let from = self.pos[bid.agent as usize];
-                            let closed = ClosedSet {
-                                until: &self.closed_until,
-                                t,
-                            };
-                            if let Some(path) = auc.route(graph, from, anchor, None, closed) {
-                                commit = Some((bid.agent as usize, path));
-                                break;
-                            }
-                        }
-                        let Some((a, path)) = commit else {
-                            // The remaining pool can't reach any anchor
-                            // worth staging; stop the pass.
-                            break 'stations;
-                        };
-                        auc.missions[a] = Some(Mission {
-                            kind: MissionKind::Reposition(q),
-                            path,
-                            at: 0,
-                            legs: VecDeque::new(),
-                            action: None,
-                            blocked: 0,
-                            wedged: false,
-                        });
-                        auc.staged_of[a] = Some(q);
-                        auc.staged[q as usize] += 1;
-                        pool -= 1;
-                        committed = true;
-                        self.counters.rebalance_moves += 1;
-                        self.counters.events_processed += 1;
-                        if !self.sleep.is_awake(a) {
-                            self.wake(a, t);
-                        }
-                    }
-                }
-            }
-        }
-        // Clean = nothing committed and the queue is back in arrival
-        // order: either untouched (an immediate no-eligible bail before
-        // any rotation) or rotated all the way around. A partial
-        // rotation (bail after some site-less tasks already moved back)
-        // leaves a reordered queue, so the next pass must really run.
-        auc.pass_clean = !committed && (rotations == 0 || rotations == auc.pending.len());
-        self.auction = Some(auc);
-    }
-
-    /// Whether this tick's assignment phase is provably a byte-identical
-    /// no-op and may be skipped outright: the last pass was clean, no
-    /// assignment input changed since (arrivals, sheds, drops, mission
-    /// retirements, nudges, stalls, wakes, replans all set the dirty
-    /// flag), and no awake agent carries a replaceable mission — those
-    /// are eligible bidders whose positions (and so bid costs and route
-    /// outcomes) change every tick. Awake *idle* agents park in place
-    /// and awake task-mission agents are not bidders, so neither
-    /// perturbs a dry pass. Both engines evaluate the same predicate,
-    /// which keeps skipping — like elision — unobservable.
-    fn auction_phase_skippable(&self) -> bool {
-        let Some(auc) = self.auction.as_deref() else {
-            return true;
-        };
-        if !auc.dirty_skip || auc.dirty || !auc.pass_clean {
-            return false;
-        }
-        (0..self.pos.len()).all(|a| {
-            !self.sleep.is_awake(a) || !auc.missions[a].as_ref().is_some_and(Mission::replaceable)
-        })
-    }
-
-    /// Advances `agent`'s auction mission after the move phase: fires a
-    /// carry action pending from last tick's arrival (on the *pre-move*
-    /// cell, the plan checker's condition (3) convention), tracks route
-    /// progress and blocking (yield-nudges and reroutes), pops legs on
-    /// arrival, and retires the mission when the last leg is done. No-op
-    /// for idle agents.
-    fn step_mission(&mut self, a: usize, old: VertexId, moved: bool, t: u64) {
-        let Some(mut auc) = self.auction.take() else {
-            return;
-        };
-        let Some(mut m) = auc.missions[a].take() else {
-            self.auction = Some(auc);
-            return;
-        };
-        let graph = self.instance.warehouse.graph();
-
-        // 1. Pending carry action fires on this transition.
-        if let Some(act) = m.action.take() {
-            match act {
-                LegAction::Pickup { product, arrival } => {
-                    debug_assert!(
-                        self.ledger.units_at(old, product) > 0,
-                        "assigned pickup of {product} at {old} with an empty ledger"
-                    );
-                    debug_assert!(self.carry[a].is_none(), "pickup while carrying");
-                    self.ledger.remove_units(old, product, 1);
-                    self.carry[a] = Some(product);
-                    self.attached[a] = Some(arrival);
-                    self.counters.queued -= 1;
-                    self.counters.in_flight += 1;
-                }
-                LegAction::Drop { arrival, station } => {
-                    debug_assert!(self.carry[a].is_some(), "drop while empty");
-                    self.carry[a] = None;
-                    self.attached[a] = None;
-                    self.counters.delivered += 1;
-                    self.counters.in_flight -= 1;
-                    self.counters.record_latency(t + 1 - arrival);
-                    let open = &mut auc.open[station as usize];
-                    *open = open.saturating_sub(1);
-                    auc.dirty = true;
-                }
-            }
-        }
-
-        // 2. Route progress / blocking.
-        if moved {
-            m.at += 1;
-            debug_assert_eq!(m.path[m.at], self.pos[a], "mission route desync");
-            m.blocked = 0;
-            m.wedged = false;
-        } else if m.at + 1 < m.path.len() {
-            m.blocked += 1;
-            let cfg = &self.config.assign;
-            let want = m.path[m.at + 1];
-            let b = self.occupant[want.index()];
-            if m.blocked >= cfg.yield_after && b != NO_INDEX {
-                // Deferred to phase 8b; idle blockers drift clear, moving
-                // or stalled ones are filtered at application time.
-                self.nudge_buf.push(b);
-            }
-            if m.blocked >= cfg.reroute_after {
-                match m.kind {
-                    MissionKind::Task => {
-                        if m.blocked % cfg.reroute_after == 0 {
-                            let goal = *m.path.last().expect("non-empty route");
-                            let closed = ClosedSet {
-                                until: &self.closed_until,
-                                t,
-                            };
-                            match auc.route(graph, self.pos[a], goal, Some(want), closed) {
-                                Some(path) if path.len() <= cfg.route_cap as usize => {
-                                    m.path = path;
-                                    m.at = 0;
-                                    m.blocked = 0;
-                                    m.wedged = false;
-                                }
-                                Some(_) => {
-                                    // A detour this long means the direct
-                                    // corridor is walled off by parked
-                                    // agents; taking it would tour the
-                                    // floor. Wedge instead: park frozen
-                                    // and retry when something moves.
-                                    m.wedged = true;
-                                }
-                                None => {}
-                            }
-                        }
-                    }
-                    // Staging and drifting are best-effort: park here.
-                    MissionKind::Reposition(_) | MissionKind::Drift => {
-                        m.path.truncate(m.at + 1);
-                    }
-                }
-            }
-        }
-
-        // 3. Arrival at the route's end: pop the next leg (its action
-        // fires on the next transition), plan the following hop, or
-        // retire the mission.
-        let mut done = false;
-        if m.at + 1 >= m.path.len() && m.action.is_none() {
-            match m.legs.pop_front() {
-                Some(leg) => {
-                    debug_assert_eq!(leg.goal, self.pos[a], "mission leg desync");
-                    m.action = Some(leg.action);
-                    if let Some(&Leg { goal, .. }) = m.legs.front() {
-                        match auc
-                            .route(
-                                graph,
-                                self.pos[a],
-                                goal,
-                                None,
-                                ClosedSet {
-                                    until: &self.closed_until,
-                                    t,
-                                },
-                            )
-                            .filter(|p| p.len() <= self.config.assign.route_cap as usize)
-                        {
-                            Some(path) => {
-                                m.path = path;
-                                m.at = 0;
-                                m.blocked = 0;
-                            }
-                            None => {
-                                // Defensive only: assignment verified
-                                // field reachability for every leg. Shed
-                                // the remaining legs back to the queue.
-                                auc.dirty = true;
-                                while let Some(l2) = m.legs.pop_front() {
-                                    match l2.action {
-                                        LegAction::Pickup { product, arrival } => {
-                                            auc.pending
-                                                .push_front(PendingTask { product, arrival });
-                                        }
-                                        LegAction::Drop { station, .. } => {
-                                            let open = &mut auc.open[station as usize];
-                                            *open = open.saturating_sub(1);
-                                        }
-                                    }
-                                }
-                                if let Some(LegAction::Pickup { product, arrival }) = m.action {
-                                    // Its drop leg was just shed: don't
-                                    // execute the pickup either.
-                                    m.action = None;
-                                    auc.pending.push_front(PendingTask { product, arrival });
-                                }
-                            }
-                        }
-                    }
-                    if m.legs.is_empty() {
-                        if matches!(m.action, Some(LegAction::Drop { .. })) {
-                            // Final drop: walk off along the field while
-                            // it fires, so the station clears for the
-                            // next delivery instead of being parked on.
-                            m.kind = MissionKind::Drift;
-                            m.path = auc.drift_walk(
-                                graph,
-                                self.pos[a],
-                                &self.occupant,
-                                ClosedSet {
-                                    until: &self.closed_until,
-                                    t,
-                                },
-                            );
-                            m.at = 0;
-                            m.blocked = 0;
-                        } else if m.action.is_none() {
-                            done = true;
-                        }
-                    }
-                }
-                None => done = true,
-            }
-        }
-
-        if done {
-            self.counters.events_processed += 1;
-            auc.idle_dirty = true;
-            auc.dirty = true;
+    /// The cell agent `a` wants next: none while stalled, else its
+    /// mission's next hop (idle auction agents park), repair detour, or
+    /// aligned window plan.
+    fn desired_cell(&self, a: usize, t: u64) -> VertexId {
+        let here = self.fleet.pos[a];
+        if t < self.fleet.stall_until[a] {
+            here
+        } else if let Some(auc) = self.auction.as_deref() {
+            auc.missions[a].as_ref().map_or(here, |m| m.desired(here))
+        } else if let Some(r) = &self.fleet.repair[a] {
+            r.path.get(r.at + 1).copied().unwrap_or(here)
+        } else if self.win.aligned(a, here) && self.win.cursor[a] < self.win.len {
+            self.win.state(a, self.win.cursor[a] + 1).at
         } else {
-            auc.missions[a] = Some(m);
+            here
         }
-        self.auction = Some(auc);
     }
 
-    /// Applies the yield-nudges deferred during phase 7: each still-idle,
-    /// unstalled blocker gets a drift mission toward the next junction
-    /// (waking it if asleep). Duplicates collapse on the mission check.
-    fn apply_nudges(&mut self, t: u64) {
-        let mut buf = std::mem::take(&mut self.nudge_buf);
-        for &b in &buf {
-            let b = b as usize;
-            if t < self.stall_until[b] {
-                continue;
+    /// Phase 7 for a plan follower: advances its repair detour, or its
+    /// cursor with the plan's carry event. `old` is its pre-move cell.
+    fn advance_on_plan(&mut self, a: usize, old: VertexId, moved: bool, t: u64) {
+        if let Some(r) = self.fleet.repair[a].as_mut() {
+            let wanted_wait = r.at + 1 >= r.path.len() || r.path[r.at + 1] == old;
+            if moved || wanted_wait {
+                r.at = (r.at + 1).min(r.path.len() - 1);
             }
-            let Some(mut auc) = self.auction.take() else {
-                break;
-            };
-            if auc.missions[b].is_some() {
-                self.auction = Some(auc);
-                continue;
-            }
-            let path = auc.drift_walk(
-                self.instance.warehouse.graph(),
-                self.pos[b],
-                &self.occupant,
-                ClosedSet {
-                    until: &self.closed_until,
-                    t,
-                },
-            );
-            let nudged = path.len() > 1;
-            if nudged {
-                auc.missions[b] = Some(Mission {
-                    kind: MissionKind::Drift,
-                    path,
-                    at: 0,
-                    legs: VecDeque::new(),
-                    action: None,
-                    blocked: 0,
-                    wedged: false,
-                });
-                auc.dirty = true;
+            let done =
+                r.at + 1 >= r.path.len() && self.fleet.pos[a] == *r.path.last().expect("non-empty");
+            if done {
+                let rejoin = r.rejoin_cursor;
+                self.fleet.repair[a] = None;
                 self.counters.events_processed += 1;
+                if rejoin == STRAY_REJOIN {
+                    // Parked off-plan; ask for a replan to re-anchor.
+                    self.replan_requested = true;
+                } else {
+                    self.win.cursor[a] = rejoin;
+                }
             }
-            self.auction = Some(auc);
-            if nudged && !self.sleep.is_awake(b) {
-                self.wake(b, t);
-            }
+            return;
         }
-        buf.clear();
-        self.nudge_buf = buf;
+        let cursor = self.win.cursor[a];
+        let Some(cur) = self.win.plan.state(a, cursor) else {
+            return;
+        };
+        if cur.at != old || cursor >= self.win.len {
+            return;
+        }
+        let next = self.win.state(a, cursor + 1);
+        if next.at != old && !moved {
+            return;
+        }
+        self.apply_carry_event(a, cur.carry, next.carry, old, t);
+        let traffic = &self.instance.traffic;
+        if next.at != old && traffic.component_of(next.at) != traffic.component_of(old) {
+            let len = self.cycles.cycles()[self.fleet.cycle_of[a]].steps().len();
+            self.fleet.step_of[a] = (self.fleet.step_of[a] + 1) % len;
+            self.fleet.advance_t[a] = (t + 1) as i64;
+        }
+        self.win.cursor[a] += 1;
     }
 
-    /// Sleep decision under the auction policy. Mission agents advance
-    /// every tick and stay awake — except a wedged one (its reroute is
-    /// cap-rejected), which parks frozen until a replan or stall retries
-    /// it. Stalled agents freeze with a wake-up at the stall's end. Idle
-    /// agents freeze when no assignable work could touch them next tick:
-    /// either the pending queue is empty (the assignment pass runs only
-    /// on executed ticks, so an idle sleeper next to a pending task
-    /// would desynchronize the engines), or the last pass was clean and
-    /// nothing has dirtied its inputs since — a re-run provably assigns
-    /// nothing, so sleeping through it is safe. In both arms no agent
-    /// may have gone idle this tick (the rebalance pass gets one
-    /// executed tick to see them). Every wake path — assignment,
-    /// rebalance, nudge, stall, boundary replan — runs identically under
-    /// both engines, which is what keeps elision unobservable.
-    fn maybe_sleep_auction(&mut self, agent: usize) {
-        let auc = self.auction.as_deref().expect("auction engine");
-        if let Some(m) = &auc.missions[agent] {
-            if m.wedged && self.t >= self.stall_until[agent] {
-                // Wedged mission: its reroute is rejected and its blocker
-                // is not yielding. Park frozen (no event); the boundary
-                // replan or a stall wakes it for the next retry.
-                let carrying = self.carry[agent].is_some();
-                self.sleep.sleep(
-                    agent,
-                    SleepMode::Frozen,
-                    self.t,
-                    self.cursor[agent],
-                    carrying,
-                );
-                self.granted[agent] = false;
+    /// Decides whether agent `a` — just processed, currently awake — can
+    /// sleep from tick `self.t`, and books the sleep plus its
+    /// wake-up/crossing events if so. Every guard keeps a sleeper's
+    /// skipped ticks *provably* identical to what the reference sweep
+    /// would have done (see [`crate::event`] for the contract).
+    fn maybe_sleep(&mut self, a: usize) {
+        let stall = self.fleet.stall_until[a];
+        match self.auction.as_deref() {
+            // Mission agents stay awake, except a wedged one: it parks
+            // frozen until the boundary replan or a stall retries it.
+            Some(auc) => {
+                if let Some(m) = &auc.missions[a] {
+                    if m.wedged && self.t >= stall {
+                        self.sleep(a, SleepMode::Frozen, None);
+                    }
+                    return;
+                }
             }
-            return;
-        }
-        let quiet = !auc.idle_dirty && (auc.pending.is_empty() || (auc.pass_clean && !auc.dirty));
-        let from = self.t;
-        let carrying = self.carry[agent].is_some();
-        if from < self.stall_until[agent] {
-            // Permanently broken agents (`NEVER`) file no wake-up: only
-            // the boundary replan's ledger reset re-examines them.
-            let wake = self.stall_until[agent];
-            let seq =
-                self.sleep
-                    .sleep(agent, SleepMode::Frozen, from, self.cursor[agent], carrying);
-            if wake != NEVER {
-                self.queue.push(wake, event::pack(event::WAKE, agent, seq));
+            // Repairing agents advance every tick, and an agent at or past
+            // the early-replan threshold must stay in the per-tick lag
+            // fold that re-arms the (possibly gap-deferred) trigger.
+            None => {
+                let replan_lag = self.config.replan_lag;
+                if self.fleet.repair[a].is_some()
+                    || (replan_lag > 0 && self.win.lag(a, self.t) >= replan_lag)
+                {
+                    return;
+                }
             }
-            self.granted[agent] = false;
-            return;
         }
-        if quiet {
-            // Frozen with no event: assignment, a stall, or the boundary
-            // replan wakes it (the plan-exhausted precedent).
-            self.sleep
-                .sleep(agent, SleepMode::Frozen, from, self.cursor[agent], carrying);
-            self.granted[agent] = false;
+        if self.t < stall {
+            // Stalled: frozen until the stall ends (`NEVER` files no
+            // wake-up; the boundary replan re-examines it). A plan follower
+            // whose lag would cross the replan threshold first files that.
+            let seq = self.sleep(a, SleepMode::Frozen, (stall != NEVER).then_some(stall));
+            if self.auction.is_none() {
+                self.file_crossing(a, seq, stall);
+            }
+        } else if let Some(auc) = self.auction.as_deref() {
+            // Idle: frozen with no event while no assignment could touch
+            // it; assignment, a stall, or the boundary replan wakes it.
+            if auc.quiet() {
+                self.sleep(a, SleepMode::Frozen, None);
+            }
+        } else {
+            self.sleep_on_plan(a);
         }
     }
 
-    /// Decides whether `agent` — just processed, currently awake — can
-    /// sleep starting at tick `self.t`, and books the sleep plus its
-    /// wake-up/crossing events if so. Every guard here exists to keep a
-    /// sleeper's skipped ticks *provably* identical to what the reference
-    /// sweep would have done (see [`crate::event`] for the contract).
-    fn maybe_sleep(&mut self, agent: usize) {
-        if self.repair[agent].is_some() {
-            // Repairing agents advance their detour every tick.
-            return;
+    /// The sleep decision for an awake, unstalled plan follower.
+    fn sleep_on_plan(&mut self, a: usize) {
+        let (t, cursor) = (self.t, self.win.cursor[a]);
+        let repair = &self.config.repair;
+        if !self.win.aligned(a, self.fleet.pos[a]) {
+            // Unaligned (a stray parked off-plan): frozen until the next
+            // replan re-anchors it, with its lag crossing filed.
+            let seq = self.sleep(a, SleepMode::Frozen, None);
+            self.file_crossing(a, seq, u64::MAX);
+        } else if cursor >= self.win.len {
+            // Plan exhausted: parked until the boundary replan, which
+            // arrives before its lag could cross the threshold.
+            self.sleep(a, SleepMode::Frozen, None);
+        } else if !repair.enabled || self.win.lag(a, t) < repair.lag_threshold {
+            // (A lagged aligned agent may become a repair candidate any
+            // tick, so it stays awake.) A silent run of 1 means the next
+            // tick changes state; with no change before the window's end,
+            // the boundary replan wakes it (its lag can't cross first).
+            let run = self
+                .win
+                .silent_run_len(a, self.fleet.pos[a], self.sched.first_change[a]);
+            if run != Some(1) {
+                self.sleep(a, SleepMode::Silent, run.map(|j| t + j as u64 - 1));
+            }
         }
-        let from = self.t;
-        let cursor = self.cursor[agent];
-        let replan_lag = self.config.replan_lag;
-        let elapsed = from.saturating_sub(self.window_start) as usize;
-        let lag = elapsed.saturating_sub(cursor);
-        // An agent at or past the early-replan threshold must stay in the
-        // per-tick lag fold that re-arms the (possibly gap-deferred)
-        // replan trigger.
-        if replan_lag > 0 && lag >= replan_lag {
-            return;
-        }
-        let carrying = self.carry[agent].is_some();
-        if from < self.stall_until[agent] {
-            // Stalled: frozen until the stall ends; if its growing lag
-            // would cross the replan threshold first, file the check. A
-            // permanent breakdown (`NEVER`) files no wake-up at all.
-            let wake = self.stall_until[agent];
-            let seq = self
-                .sleep
-                .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
-            if wake != NEVER {
-                self.queue.push(wake, event::pack(event::WAKE, agent, seq));
-            }
-            if replan_lag > 0 {
-                let crossing = self.window_start + (cursor + replan_lag) as u64 - 1;
-                if crossing < wake {
-                    self.queue
-                        .push(crossing, event::pack(event::REPLAN_CHECK, agent, seq));
-                }
-            }
-            self.granted[agent] = false;
-            return;
-        }
-        if self.aligned(agent) {
-            if cursor >= self.window_len {
-                // Plan exhausted: parked until the boundary replan, which
-                // arrives before its lag could cross the threshold.
-                self.sleep
-                    .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
-                self.granted[agent] = false;
-                return;
-            }
-            // A lagged aligned agent may become a repair candidate any
-            // tick (its constant lag stays over the threshold while its
-            // cooldown drains), so it must stay in the candidate scan.
-            if self.config.repair.enabled && lag >= self.config.repair.lag_threshold {
-                return;
-            }
-            match self.silent_run_len(agent, cursor) {
-                Some(1) => {} // next tick already changes state
-                Some(run) => {
-                    let seq = self
-                        .sleep
-                        .sleep(agent, SleepMode::Silent, from, cursor, carrying);
-                    self.queue
-                        .push(from + run as u64 - 1, event::pack(event::WAKE, agent, seq));
-                    self.granted[agent] = false;
-                }
-                None => {
-                    // Stationary through the whole remaining window: the
-                    // cursor analytically runs out and the boundary
-                    // replan wakes it (no event needed; the lag crossing
-                    // provably can't precede the boundary).
-                    self.sleep
-                        .sleep(agent, SleepMode::Silent, from, cursor, carrying);
-                    self.granted[agent] = false;
-                }
-            }
-            return;
-        }
-        // Unaligned (a stray parked off-plan): frozen until the next
-        // replan re-anchors it, with its lag crossing filed.
-        let seq = self
+    }
+
+    /// Books awake agent `a` asleep from the current tick in `mode`,
+    /// filing its wake-up at `wake` if given; returns the sequence number
+    /// further events for this sleep must quote.
+    fn sleep(&mut self, a: usize, mode: SleepMode, wake: Option<u64>) -> u32 {
+        let carrying = self.fleet.carry[a].is_some();
+        let sched = &mut self.sched;
+        let seq = sched
             .sleep
-            .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
-        if replan_lag > 0 {
-            let crossing = self.window_start + (cursor + replan_lag) as u64 - 1;
-            self.queue
-                .push(crossing, event::pack(event::REPLAN_CHECK, agent, seq));
+            .sleep(a, mode, self.t, self.win.cursor[a], carrying);
+        if let Some(at) = wake {
+            sched.queue.push(at, event::pack(event::WAKE, a, seq));
         }
-        self.granted[agent] = false;
+        seq
     }
 
-    /// Length of `agent`'s *silent run*: the smallest `j ≥ 1` whose
-    /// window-plan state differs from the current one in position or
-    /// carry (`None` if it stays identical through the window's end).
-    /// For a fresh cursor this is exactly the realize stage's
-    /// `first_change` schedule; otherwise a forward scan (amortized O(1)
-    /// per tick: each scanned index is slept past before it is rescanned).
-    fn silent_run_len(&self, agent: usize, cursor: usize) -> Option<usize> {
-        debug_assert!(cursor < self.window_len);
-        if cursor == 0 {
-            let j = self.first_change[agent];
-            return (j != u32::MAX).then_some(j as usize);
+    /// Files a frozen plan follower's replan-lag crossing check — the
+    /// exact tick the awake engine would first see `lag ≥ replan_lag` —
+    /// when it falls before `before` (its wake-up).
+    fn file_crossing(&mut self, a: usize, seq: u32, before: u64) {
+        let replan_lag = self.config.replan_lag;
+        if replan_lag == 0 {
+            return;
         }
-        let pos = self.pos[agent];
-        let carry = self
-            .window_plan
-            .state(agent, cursor)
-            .expect("aligned cursor")
-            .carry;
-        for j in 1..=(self.window_len - cursor) {
-            let s = self
-                .window_plan
-                .state(agent, cursor + j)
-                .expect("within horizon");
-            if s.at != pos || s.carry != carry {
-                return Some(j);
-            }
+        let crossing = self.win.start + (self.win.cursor[a] + replan_lag) as u64 - 1;
+        if crossing < before {
+            let check = event::pack(event::REPLAN_CHECK, a, seq);
+            self.sched.queue.push(crossing, check);
         }
-        None
     }
 
     /// Applies an executed carry transition: stock debit + task matching.
@@ -2098,17 +1598,17 @@ impl<'a> Simulation<'a> {
                     "executed pickup of {p} at {at} with an empty ledger"
                 );
                 self.ledger.remove_units(at, p, 1);
-                self.carry[agent] = Some(p);
+                self.fleet.carry[agent] = Some(p);
                 if let Some(arrival) = self.queues[p.index()].pop_front() {
-                    self.attached[agent] = Some(arrival);
+                    self.fleet.attached[agent] = Some(arrival);
                     self.counters.queued -= 1;
                     self.counters.in_flight += 1;
                 }
             }
             (Carry::Product(p), Carry::Empty) => {
-                self.carry[agent] = None;
+                self.fleet.carry[agent] = None;
                 self.counters.delivered += 1;
-                if let Some(arrival) = self.attached[agent].take() {
+                if let Some(arrival) = self.fleet.attached[agent].take() {
                     self.counters.in_flight -= 1;
                     self.counters.record_latency(t + 1 - arrival);
                 } else if let Some(arrival) = self.queues[p.index()].pop_front() {
@@ -2126,45 +1626,34 @@ impl<'a> Simulation<'a> {
     }
 
     /// Applies one fired [`FaultEvent`] — both engines, identically.
+    /// Every fault changes an auction input (eligibility, station
+    /// availability, or route outcomes), so it dirties the auction.
     fn apply_fault(&mut self, e: FaultEvent, t: u64) {
         self.counters.faults_injected += 1;
         self.counters.events_processed += 1;
         match e {
             FaultEvent::Breakdown { agent, until, .. } => {
-                // A breakdown is a (possibly unbounded) stall: all the
-                // stall machinery — parked desire, frozen sleep, repair
-                // projection, grant-pass obstacle, auction ineligibility
-                // — applies as-is. On top, the victim's assigned work is
-                // shed so the rest of the fleet absorbs it.
-                let was = self.stall_until[agent];
+                // A (possibly unbounded) stall, plus shedding the victim's
+                // assigned work so the rest of the fleet absorbs it.
+                let was = self.fleet.stall_until[agent];
                 if until == NEVER && was != NEVER {
                     self.counters.agents_lost += 1;
                 }
-                self.stall_until[agent] = was.max(until);
-                self.shed_agent_tasks(agent, until == NEVER);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Eligibility (`t >= stall_until`) just changed.
-                    auc.dirty = true;
+                self.fleet.stall_until[agent] = was.max(until);
+                match self.auction.as_deref_mut() {
+                    Some(auc) => {
+                        auc.shed_agent(agent, until == NEVER, &mut self.fleet, &mut self.counters)
+                    }
+                    None => self.shed_static(agent),
                 }
-                if !self.sleep.is_awake(agent) {
-                    self.wake(agent, t);
-                }
+                let carrying = self.fleet.carry[agent].is_some();
+                self.sched
+                    .wake(agent, t, &mut self.win, carrying, &mut self.counters);
             }
             FaultEvent::Outage { station, until, .. } => {
-                let was = self.dark_until[station];
-                if was <= t {
-                    self.dark_active += 1;
-                }
-                self.dark_until[station] = was.max(until);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Dark stations take no new assignments; their
-                    // queued tasks wait (rotating in the pending queue)
-                    // and the `station_bias` pressure pushes fresh work
-                    // toward the remaining stations. In-flight
-                    // deliveries already en route still complete.
-                    auc.dark[station] = true;
-                    auc.dirty = true;
-                }
+                let floor = &mut self.floor;
+                floor.dark_active += usize::from(floor.dark_until[station] <= t);
+                floor.dark_until[station] = floor.dark_until[station].max(until);
             }
             FaultEvent::Closure {
                 anchor,
@@ -2172,296 +1661,122 @@ impl<'a> Simulation<'a> {
                 until,
                 ..
             } => {
-                self.close_corridor(anchor, axis, until, t);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Route outcomes (commits, reroutes, drifts) changed.
-                    auc.dirty = true;
-                }
+                let graph = self.instance.warehouse.graph();
+                let len = self.config.faults.closure_len;
+                self.floor
+                    .close_corridor(graph, anchor, axis, len, until, t);
             }
         }
-    }
-
-    /// Re-opens every faulted resource whose span elapsed: a station or
-    /// corridor with `until <= t` serves again *at* `t` (symmetric with
-    /// stalls). Each re-opening dirties the auction — newly possible
-    /// assignments and routes must be re-examined on this very tick,
-    /// which is why expiries are forced ticks.
-    fn expire_faults(&mut self, t: u64) {
-        if self.dark_active > 0 {
-            let live = self.dark_until.iter().filter(|&&u| u > t).count();
-            if live < self.dark_active {
-                self.dark_active = live;
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    for (q, &u) in self.dark_until.iter().enumerate() {
-                        auc.dark[q] = u > t;
-                    }
-                    auc.dirty = true;
-                }
-            }
-        }
-        if !self.closed_cells.is_empty() {
-            let mut cells = std::mem::take(&mut self.closed_cells);
-            let before = cells.len();
-            cells.retain(|v| self.closed_until[v.index()] > t);
-            if cells.len() < before {
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    auc.dirty = true;
-                }
-            }
-            self.closed_cells = cells;
-        }
-    }
-
-    /// Expands a closure event to its concrete corridor: up to
-    /// `closure_len` cells walked from the anchor along the seeded axis
-    /// while grid edges continue, each marked closed until `until`.
-    /// Overlapping closures max-merge their expiries.
-    fn close_corridor(&mut self, anchor: usize, axis: u32, until: u64, t: u64) {
-        let graph = self.instance.warehouse.graph();
-        let (dx, dy): (i64, i64) = match axis % 4 {
-            0 => (1, 0),
-            1 => (0, 1),
-            2 => (-1, 0),
-            _ => (0, -1),
-        };
-        let len = self.config.faults.closure_len.max(1);
-        let mut v = VertexId(anchor as u32);
-        for step in 0u32.. {
-            if self.closed_until[v.index()] <= t {
-                // Not currently closed, so not in the list yet (expiry
-                // retains exactly the still-closed cells).
-                self.closed_cells.push(v);
-            }
-            self.closed_until[v.index()] = self.closed_until[v.index()].max(until);
-            if step + 1 >= len {
-                break;
-            }
-            let c = graph.coord(v);
-            let nx = i64::from(c.x) + dx;
-            let ny = i64::from(c.y) + dy;
-            if nx < 0 || ny < 0 {
-                break;
-            }
-            let Some(w) = graph.vertex_at(Coord::new(nx as u32, ny as u32)) else {
-                break;
-            };
-            if !graph.has_edge(v, w) {
-                break;
-            }
-            v = w;
-        }
-    }
-
-    /// Sheds a broken-down agent's assigned tasks back to the queue in
-    /// arrival order. Unexecuted pickups restore their stock reservation
-    /// and re-queue; their drop legs release the station's open slot.
-    /// The *carried* task (pickup executed, drop pending) is kept on a
-    /// temporary breakdown — the unit physically rides the robot and is
-    /// delivered after recovery — but re-queued on a permanent one: the
-    /// unit strands on the dead robot and another agent re-picks the
-    /// task from remaining stock (`in_flight → queued`, so the classic
-    /// conservation identity never bends; `tasks_shed` counts every
-    /// shed).
-    fn shed_agent_tasks(&mut self, a: usize, permanent: bool) {
-        let Some(mut auc) = self.auction.take() else {
-            // Static policy: detach the carried task and re-queue it by
-            // arrival. The agent's window plan still executes its drop
-            // after recovery, which then completes the queue's new
-            // front task instead (`apply_carry_event`'s unattached arm)
-            // — late delivery, exact conservation.
-            if let Some(arrival) = self.attached[a].take() {
-                let product = self.carry[a].expect("attached implies carrying");
-                let q = &mut self.queues[product.index()];
-                let i = q.partition_point(|&x| x <= arrival);
-                q.insert(i, arrival);
-                self.counters.in_flight -= 1;
-                self.counters.queued += 1;
-                self.counters.tasks_shed += 1;
-            }
-            return;
-        };
-        if let Some(qq) = auc.staged_of[a].take() {
-            auc.staged[qq as usize] -= 1;
-        }
-        if let Some(mut m) = auc.missions[a].take() {
-            // Carried iff the next drop precedes the next pickup: either
-            // the drop action is already pending, or the front leg is a
-            // drop (legs strictly alternate pickup/drop per task).
-            let carried = matches!(m.action, Some(LegAction::Drop { .. }))
-                || (m.action.is_none()
-                    && matches!(
-                        m.legs.front(),
-                        Some(Leg {
-                            action: LegAction::Drop { .. },
-                            ..
-                        })
-                    ));
-            if carried && !permanent {
-                // Keep exactly the pending delivery; shed the rest.
-                let kept = if m.action.is_some() {
-                    None
-                } else {
-                    m.legs.pop_front()
-                };
-                Self::shed_legs(&mut auc, &mut m, &mut self.counters);
-                match kept {
-                    Some(leg) => m.legs.push_back(leg),
-                    // Only the pending drop action remains; stop walking
-                    // the stale route toward the next (now shed) leg.
-                    None => m.path.truncate(m.at + 1),
-                }
-                auc.missions[a] = Some(m);
-            } else {
-                if let Some(action) = m.action.take() {
-                    m.legs.push_front(Leg {
-                        goal: self.pos[a],
-                        action,
-                    });
-                }
-                if carried {
-                    let leg = m.legs.pop_front().expect("carried mission fronts its drop");
-                    let LegAction::Drop { arrival, station } = leg.action else {
-                        unreachable!("carried mission fronts a drop leg");
-                    };
-                    let open = &mut auc.open[station as usize];
-                    *open = open.saturating_sub(1);
-                    let product = self.carry[a].expect("carried drop leg");
-                    self.attached[a] = None;
-                    self.counters.in_flight -= 1;
-                    self.counters.queued += 1;
-                    self.counters.tasks_shed += 1;
-                    Self::requeue_pending(&mut auc.pending, PendingTask { product, arrival });
-                }
-                Self::shed_legs(&mut auc, &mut m, &mut self.counters);
-                // Mission dissolved; a recovered (task-less) agent goes
-                // back to the idle pool.
-                auc.idle_dirty = true;
-            }
+        if let Some(auc) = self.auction.as_deref_mut() {
             auc.dirty = true;
         }
-        self.auction = Some(auc);
     }
 
-    /// Drains `m.legs`, restoring each unexecuted pickup's reservation
-    /// (and re-queueing its task) and releasing each drop's open slot.
-    /// The carried task's drop, if any, must already be removed.
-    fn shed_legs(auc: &mut AuctionState, m: &mut Mission, counters: &mut SimCounters) {
-        while let Some(leg) = m.legs.pop_front() {
-            match leg.action {
-                LegAction::Pickup { product, arrival } => {
-                    auc.reserved.add_units(leg.goal, product, 1);
-                    counters.tasks_shed += 1;
-                    Self::requeue_pending(&mut auc.pending, PendingTask { product, arrival });
-                }
-                LegAction::Drop { station, .. } => {
-                    let open = &mut auc.open[station as usize];
-                    *open = open.saturating_sub(1);
-                }
-            }
+    /// Static-policy shed: re-queue the carried task by arrival. The plan
+    /// still drops the unit after recovery, completing the queue's front
+    /// task instead — late delivery, exact conservation.
+    fn shed_static(&mut self, a: usize) {
+        if let Some(arrival) = self.fleet.attached[a].take() {
+            let product = self.fleet.carry[a].expect("attached implies carrying");
+            let q = &mut self.queues[product.index()];
+            let i = q.partition_point(|&x| x <= arrival);
+            q.insert(i, arrival);
+            self.counters.in_flight -= 1;
+            self.counters.queued += 1;
+            self.counters.tasks_shed += 1;
         }
-    }
-
-    /// Re-queues a shed task by arrival tick: the insertion point is the
-    /// end of the run of arrivals ≤ the task's — deterministic under
-    /// both engines even when rotations have the queue mid-cycle.
-    fn requeue_pending(pending: &mut VecDeque<PendingTask>, task: PendingTask) {
-        let i = pending.partition_point(|p| p.arrival <= task.arrival);
-        pending.insert(i, task);
     }
 
     /// Collects catch-up candidates, plans them in parallel against the
     /// projected reservation table, and splices in the accepted detours.
     fn try_repairs(&mut self, t: u64) {
-        let n = self.pos.len();
-        let cfg = self.config.repair.clone();
-        self.requests.clear();
-        // Only awake agents can be candidates: a silent sleeper's lag is
-        // constant below the threshold (the sleep guard keeps lagged
-        // agents awake) and frozen sleepers are stalled, unaligned, or
-        // past the rejoin horizon — all disqualified below anyway. The
-        // reference sweep scans everyone and so double-checks this.
-        for i in 0..self.active.len() {
-            let a = self.active[i] as usize;
-            if t < self.stall_until[a]
-                || self.repair[a].is_some()
-                || t < self.repair_cooldown_until[a]
-                || !self.aligned(a)
+        let cfg = &self.config.repair;
+        let traffic = &self.instance.traffic;
+        let fleet = &mut self.fleet;
+        let RepairScratch {
+            requests,
+            is_candidate,
+            projection,
+            table,
+        } = &mut self.repairs;
+        requests.clear();
+        // Only awake agents can qualify: sleepers are unlagged, stalled,
+        // unaligned, or past the rejoin horizon. The reference sweep
+        // scans everyone and so double-checks this.
+        for &a in &self.sched.active {
+            let a = a as usize;
+            if t < fleet.stall_until[a]
+                || fleet.repair[a].is_some()
+                || t < fleet.repair_cooldown_until[a]
+                || !self.win.aligned(a, fleet.pos[a])
             {
                 continue;
             }
-            let elapsed = (t - self.window_start) as usize;
-            let lag = elapsed.saturating_sub(self.cursor[a]);
+            let lag = self.win.lag(a, t);
             if lag < cfg.lag_threshold {
                 continue;
             }
-            let rejoin = self.cursor[a] + lag + cfg.slack;
-            if rejoin > self.window_len {
+            let cursor = self.win.cursor[a];
+            let rejoin = cursor + lag + cfg.slack;
+            if rejoin > self.win.len {
                 continue;
             }
             // Eligibility: constant carry and zero hops over the skipped
             // segment, so rejoin preserves every pickup/drop-off and the
             // cycle-step bookkeeping.
-            let base = self
-                .window_plan
-                .state(a, self.cursor[a])
-                .expect("aligned cursor");
-            let base_comp = self.component_of(base.at);
-            let eligible = (self.cursor[a] + 1..=rejoin).all(|i| {
-                let s = self.window_plan.state(a, i).expect("within horizon");
-                s.carry == base.carry && self.component_of(s.at) == base_comp
+            let base = self.win.state(a, cursor);
+            let base_comp = traffic.component_of(base.at);
+            let eligible = (cursor + 1..=rejoin).all(|i| {
+                let s = self.win.state(a, i);
+                s.carry == base.carry && traffic.component_of(s.at) == base_comp
             });
             if !eligible {
                 continue;
             }
-            let goal = self
-                .window_plan
-                .state(a, rejoin)
-                .expect("within horizon")
-                .at;
-            if goal == self.pos[a] || cfg.slack == 0 {
+            let goal = self.win.state(a, rejoin).at;
+            if goal == fleet.pos[a] || cfg.slack == 0 {
                 continue;
             }
             debug_assert!(
-                self.sleep.is_awake(a),
+                self.sched.is_awake(a),
                 "virtually sleeping agent {a} qualified as a repair candidate at t={t}"
             );
-            self.requests.push(RepairRequest {
+            requests.push(RepairRequest {
                 agent: a,
-                start: self.pos[a],
+                start: fleet.pos[a],
                 goal,
                 deadline: cfg.slack,
                 rejoin_cursor: rejoin,
                 lag,
             });
         }
-        if self.requests.is_empty() {
+        if requests.is_empty() {
             return;
         }
         // The projection below reads every agent's cursor; materialize
         // the sleepers' analytic ones first (they stay asleep — their
         // trajectories are unchanged, the observer just needs them).
-        self.settle_sleepers(t);
+        self.sched.settle_sleepers(t, &mut self.win);
         // Deepest-lagged first when the batch is over budget (ties break
         // toward the lowest agent index), then back to agent order so the
         // acceptance pass stays order-deterministic.
-        if self.requests.len() > cfg.max_batch.max(1) {
-            self.requests
-                .sort_unstable_by(|x, y| y.lag.cmp(&x.lag).then(x.agent.cmp(&y.agent)));
-            self.requests.truncate(cfg.max_batch.max(1));
-            self.requests.sort_unstable_by_key(|r| r.agent);
+        let batch = cfg.max_batch.max(1);
+        if requests.len() > batch {
+            requests.sort_unstable_by(|x, y| y.lag.cmp(&x.lag).then(x.agent.cmp(&y.agent)));
+            requests.truncate(batch);
+            requests.sort_unstable_by_key(|r| r.agent);
         }
-        for r in &self.requests {
-            self.repair_cooldown_until[r.agent] = t + cfg.cooldown;
+        for r in requests.iter() {
+            fleet.repair_cooldown_until[r.agent] = t + cfg.cooldown;
             self.counters.repairs_attempted += 1;
-            self.is_candidate[r.agent] = true;
+            is_candidate[r.agent] = true;
         }
 
         // Shared reservation table: everyone except the candidates whose
         // reservations the searches could actually query, projected ahead
         // (stall first, then plan or active repair path, then parked
         // forever). The table persists across repair events; `reset`
-        // clears it in O(touched). (Temporarily moved out of `self` so the
-        // projection buffer can be borrowed alongside it.)
+        // clears it in O(touched).
         //
         // Locality: a deadline-capped search expands states within
         // `slack + 1` steps of its start and queries times up to
@@ -2476,76 +1791,144 @@ impl<'a> Simulation<'a> {
         // Both cuts are what keeps a repair event on a 100k-vertex floor
         // O(neighbourhood), not O(agents × lookahead).
         let graph = self.instance.warehouse.graph();
-        let mut table = std::mem::replace(&mut self.repair_table, ReservationTable::new(0));
         table.reset();
         let radius = 2 * (cfg.slack as u64 + 1);
         let span = cfg.lookahead.min(cfg.slack + 2);
-        for b in 0..n {
-            if self.is_candidate[b] {
-                continue;
-            }
-            let at = graph.coord(self.pos[b]);
-            let near = self.requests.iter().any(|r| {
+        let near = |v: VertexId| {
+            let at = graph.coord(v);
+            requests.iter().any(|r| {
                 let s = graph.coord(r.start);
                 u64::from(at.x.abs_diff(s.x)) + u64::from(at.y.abs_diff(s.y)) <= radius
-            });
-            if !near {
+            })
+        };
+        for (b, &candidate) in is_candidate.iter().enumerate() {
+            if candidate || !near(fleet.pos[b]) {
                 continue;
             }
-            self.projection.clear();
-            self.projection.push(self.pos[b]);
-            let mut stall_left = self.stall_until[b].saturating_sub(t) as usize;
-            while stall_left > 0 && self.projection.len() < span {
-                self.projection.push(self.pos[b]);
+            projection.clear();
+            projection.push(fleet.pos[b]);
+            let mut stall_left = fleet.stall_until[b].saturating_sub(t) as usize;
+            while stall_left > 0 && projection.len() < span {
+                projection.push(fleet.pos[b]);
                 stall_left -= 1;
             }
-            if let Some(r) = &self.repair[b] {
+            if let Some(r) = &fleet.repair[b] {
                 for &v in r.path.iter().skip(r.at + 1) {
-                    if self.projection.len() >= span {
+                    if projection.len() >= span {
                         break;
                     }
-                    self.projection.push(v);
+                    projection.push(v);
                 }
-            } else if self.aligned(b) {
-                let mut k = self.cursor[b] + 1;
-                while self.projection.len() < span && k <= self.window_len {
-                    self.projection
-                        .push(self.window_plan.state(b, k).expect("within horizon").at);
+            } else if self.win.aligned(b, fleet.pos[b]) {
+                let mut k = self.win.cursor[b] + 1;
+                while projection.len() < span && k <= self.win.len {
+                    projection.push(self.win.state(b, k).at);
                     k += 1;
                 }
             }
             // `reserve_path` parks the final projected cell from its
             // arrival time onward, so truncated projections stay
             // conservatively blocked past the horizon.
-            table.reserve_path(&self.projection);
+            table.reserve_path(projection);
         }
         // Closed corridor cells are blanket obstacles for catch-up
         // searches: each one near a candidate is parked from time zero
         // (a single-cell `reserve_path`; reservations are idempotent
         // bitsets, so overlap with an occupant's projection is
         // harmless).
-        for &v in &self.closed_cells {
-            let at = graph.coord(v);
-            let near = self.requests.iter().any(|r| {
-                let s = graph.coord(r.start);
-                u64::from(at.x.abs_diff(s.x)) + u64::from(at.y.abs_diff(s.y)) <= radius
-            });
-            if near {
-                table.reserve_path(std::slice::from_ref(&v));
+        for v in &self.floor.closed_cells {
+            if near(*v) {
+                table.reserve_path(std::slice::from_ref(v));
             }
         }
 
         let threads = wsp_core::resolve_threads(cfg.threads);
-        let found = plan_repairs(graph, &table, &self.requests, threads);
-        self.repair_table = table;
-        for (agent, path) in accept_repairs(&self.requests, found) {
-            self.repair[agent] = Some(path);
+        let found = plan_repairs(graph, table, requests, threads);
+        for (agent, path) in accept_repairs(requests, found) {
+            fleet.repair[agent] = Some(path);
             self.counters.repairs_applied += 1;
         }
         // Clear the candidate flags through the request list instead of a
         // full O(agents) sweep per call.
-        for i in 0..self.requests.len() {
-            self.is_candidate[self.requests[i].agent] = false;
+        for r in requests.iter() {
+            is_candidate[r.agent] = false;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use wsp_model::Workload;
+
+    use super::*;
+    use crate::assign::LegAction;
+
+    /// Pickups assigned at `(site, product)` and not yet executed: queued
+    /// pickup legs there, plus pending pickup actions of agents standing
+    /// there (an action fires on the cell its leg arrived at).
+    fn outstanding_pickups(sim: &Simulation<'_>, site: VertexId, product: ProductId) -> u64 {
+        let auc = sim.auction.as_deref().expect("auction policy");
+        let is_pickup = |action: &LegAction| matches!(action, LegAction::Pickup(task) if task.product == product);
+        let mut n = 0;
+        for (a, m) in auc.missions.iter().enumerate() {
+            let Some(m) = m else { continue };
+            n += m
+                .legs
+                .iter()
+                .filter(|l| l.goal == site && is_pickup(&l.action))
+                .count() as u64;
+            n += u64::from(sim.fleet.pos[a] == site && m.action.as_ref().is_some_and(is_pickup));
+        }
+        n
+    }
+
+    /// Under the auction, every stocked `(site, product)` ledger entry
+    /// equals its unreserved stock plus its outstanding pickups, after
+    /// every tick. A tight route cap makes follow-up legs fail to route,
+    /// so work shed from a mission must return its reservations.
+    #[test]
+    fn auction_ledger_equals_reserved_plus_outstanding_pickups_every_tick() {
+        let map = wsp_maps::scaled_warehouse(5, 40, 3, 3).expect("small scaled map builds");
+        let instance = WspInstance::new(map.warehouse, map.traffic, Workload::zeros(0), 0);
+        let cycles = crate::direct_cycle_set(&instance.warehouse, &instance.traffic, 24);
+        let delivered: BTreeSet<ProductId> = cycles
+            .cycles()
+            .iter()
+            .flat_map(|c| c.delivered_products())
+            .collect();
+        let mut mix = Workload::zeros(instance.warehouse.catalog().len());
+        for &p in &delivered {
+            mix.set(p, 60 / delivered.len() as u64 + 1);
+        }
+        let mut config = SimConfig {
+            ticks: 200,
+            stream: StreamConfig {
+                mix,
+                mean_gap: 1,
+                seed: 1,
+            },
+            deviations: DeviationConfig::stalls(32, 2, 8, 1),
+            ..SimConfig::default()
+        };
+        config.assign.policy = AssignPolicy::Auction;
+        config.assign.route_cap = 12;
+        let mut sim = Simulation::from_cycles(&instance, cycles, config).expect("sim builds");
+        let mut shed = 0;
+        while sim.now() < 200 {
+            sim.step().expect("tick runs");
+            let reserved = &sim.auction.as_deref().expect("auction policy").reserved;
+            for (site, product, _) in instance.warehouse.location_matrix().iter() {
+                assert_eq!(
+                    sim.ledger.units_at(site, product),
+                    reserved.units_at(site, product) + outstanding_pickups(&sim, site, product),
+                    "stock of {product} at {site} unbalanced after t={}",
+                    sim.now()
+                );
+            }
+            shed = sim.counters.tasks_shed;
+        }
+        assert!(shed > 0, "the route cap never shed a follow-up leg");
     }
 }

@@ -60,6 +60,7 @@ mod deviation;
 mod distfield;
 mod engine;
 mod event;
+mod mission;
 mod queue;
 mod repair;
 mod report;
