@@ -1,8 +1,6 @@
 //! Conjunctive linear predicates: the assertion language of the contracts.
 
-use wsp_lp::{
-    solve_lp, BoundOverrides, Constraint, LinExpr, LpOutcome, Rational, Relation, SimplexOptions,
-};
+use wsp_lp::{solve_lp, BoundOverrides, Constraint, LinExpr, LpOutcome, Rational, Relation};
 
 use crate::VarRegistry;
 
@@ -89,11 +87,7 @@ impl Predicate {
         }
         // Feasibility only: zero objective.
         problem.minimize(LinExpr::new());
-        let out = solve_lp::<Rational>(
-            &problem,
-            &BoundOverrides::none(),
-            &SimplexOptions::default(),
-        )?;
+        let out = solve_lp::<Rational>(&problem, &BoundOverrides::none())?;
         Ok(matches!(out, LpOutcome::Optimal(_) | LpOutcome::Unbounded))
     }
 
@@ -155,7 +149,7 @@ impl Predicate {
 
 fn max_at_most(problem: &wsp_lp::Problem, bound: Rational) -> Result<bool, wsp_lp::LpError> {
     Ok(
-        match solve_lp::<Rational>(problem, &BoundOverrides::none(), &SimplexOptions::default())? {
+        match solve_lp::<Rational>(problem, &BoundOverrides::none())? {
             LpOutcome::Optimal(sol) => sol.objective <= bound,
             LpOutcome::Unbounded => false,
             LpOutcome::Infeasible => true,
@@ -165,7 +159,7 @@ fn max_at_most(problem: &wsp_lp::Problem, bound: Rational) -> Result<bool, wsp_l
 
 fn min_at_least(problem: &wsp_lp::Problem, bound: Rational) -> Result<bool, wsp_lp::LpError> {
     Ok(
-        match solve_lp::<Rational>(problem, &BoundOverrides::none(), &SimplexOptions::default())? {
+        match solve_lp::<Rational>(problem, &BoundOverrides::none())? {
             LpOutcome::Optimal(sol) => sol.objective >= bound,
             LpOutcome::Unbounded => false,
             LpOutcome::Infeasible => true,

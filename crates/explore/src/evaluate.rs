@@ -300,16 +300,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Resolves the worker-thread count: explicit override, then the
-/// `WSP_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]; always at least 1.
-///
-/// Thin re-export of [`wsp_core::resolve_threads`], which every parallel
-/// driver in the workspace shares.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    wsp_core::resolve_threads(explicit)
-}
-
 /// Evaluates one candidate through the full staged pipeline, reusing the
 /// caller's [`Pipeline`] scratch.
 pub fn evaluate_candidate(
@@ -456,7 +446,7 @@ pub fn evaluate_batch_with(
 ) -> ExploreOutcome {
     let t0 = Instant::now();
     let n = candidates.len();
-    let threads = resolve_threads(options.threads).min(n.max(1));
+    let threads = wsp_core::resolve_threads(options.threads).min(n.max(1));
 
     let mut slots: Vec<Option<CandidateReport>> = Vec::new();
     slots.resize_with(n, || None);
@@ -671,12 +661,6 @@ mod tests {
                 r.candidate.label()
             );
         }
-    }
-
-    #[test]
-    fn thread_resolution_prefers_explicit_then_env() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert!(resolve_threads(None) >= 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod pareto;
 
 pub use candidate::{sorting_center_sweep, DesignCandidate};
 pub use evaluate::{
-    evaluate_batch, evaluate_batch_with, evaluate_candidate, resolve_threads, CandidateEval,
-    CandidateOutcome, CandidateReport, ExploreOptions, ExploreOutcome, SimScore, SimScoring,
+    evaluate_batch, evaluate_batch_with, evaluate_candidate, CandidateEval, CandidateOutcome,
+    CandidateReport, ExploreOptions, ExploreOutcome, SimScore, SimScoring,
 };
 pub use pareto::{pareto_front, Objective};

@@ -210,13 +210,9 @@ fn layered_workload_contract(workload: &Workload, vars: &LayeredVars, periods: u
     AgContract::new("workload", Predicate::top(), guarantee)
 }
 
-/// Synthesizes an agent flow set with the two-layer circulation encoding
-/// and decodes it back to per-product flows.
-///
-/// # Errors
-///
-/// See [`synthesize_flow`](crate::synthesize_flow).
-pub fn synthesize_layered(
+/// [`synthesize_layered_with_scratch`] on a fresh scratch.
+#[cfg(test)]
+pub(crate) fn synthesize_layered(
     warehouse: &Warehouse,
     traffic: &TrafficSystem,
     workload: &Workload,
@@ -233,14 +229,15 @@ pub fn synthesize_layered(
     )
 }
 
-/// [`synthesize_layered`] with a caller-owned solver scratch, so
-/// back-to-back syntheses reuse the LP workspace (and, for identical
-/// constraint skeletons, the converged basis).
+/// The [`FlowEngine::LayeredIlp`](crate::FlowEngine::LayeredIlp)
+/// synthesizer: solves the two-layer circulation encoding on the caller's
+/// scratch (for identical constraint skeletons, warm from the converged
+/// basis) and decodes it back to per-product flows.
 ///
 /// # Errors
 ///
 /// See [`synthesize_flow`](crate::synthesize_flow).
-pub fn synthesize_layered_with_scratch(
+pub(crate) fn synthesize_layered_with_scratch(
     warehouse: &Warehouse,
     traffic: &TrafficSystem,
     workload: &Workload,
@@ -248,14 +245,7 @@ pub fn synthesize_layered_with_scratch(
     options: &FlowSynthesisOptions,
     scratch: &mut IlpScratch,
 ) -> Result<AgentFlowSet, FlowError> {
-    let cycle_time = traffic.cycle_time();
-    if cycle_time == 0 || t_limit < cycle_time {
-        return Err(FlowError::HorizonTooShort {
-            t_limit,
-            cycle_time,
-        });
-    }
-    let periods = crate::effective_periods(t_limit, cycle_time, options);
+    let (cycle_time, periods) = crate::horizon(traffic, t_limit)?;
 
     let vars = build_vars(warehouse, traffic, workload);
     let components =
@@ -263,15 +253,7 @@ pub fn synthesize_layered_with_scratch(
     let system_contract = AgContract::compose_all("traffic-system", components.iter());
     let full = system_contract.conjoin(&layered_workload_contract(workload, &vars, periods));
 
-    let objective = if options.feasibility_only {
-        // Even in feasibility mode, minimize total flow: the decoder needs
-        // loaded circulations absent, and the zero-cost solver could emit
-        // them. This stays faithful (any feasible set remains feasible).
-        total_flow(&vars)
-    } else {
-        total_flow(&vars)
-    };
-    let problem = full.synthesis_problem(&vars.registry, objective);
+    let problem = full.synthesis_problem(&vars.registry, total_flow(&vars));
     let problem_dims = (problem.var_count(), problem.constraint_count());
 
     let outcome = solve_ilp_with_scratch(&problem, &options.ilp, scratch).map_err(|e| match e {

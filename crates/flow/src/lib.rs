@@ -60,11 +60,7 @@ pub use contracts::{component_contracts, workload_contract, FlowVars};
 pub use cycles::{AgentCycle, AgentCycleSet, CycleAction, CycleStep};
 pub use error::FlowError;
 pub use flowset::{AgentFlowSet, Commodity};
-pub use layered::{synthesize_layered, synthesize_layered_with_scratch};
-pub use paper::{synthesize_paper, synthesize_paper_with_scratch};
-pub use relaxed::{
-    synthesize_flow_relaxed, synthesize_flow_relaxed_with_scratch, RelaxedFlowSummary,
-};
+pub use relaxed::{synthesize_flow_relaxed, RelaxedFlowSummary};
 // The solver scratch types are re-exported so downstream crates
 // (`wsp-core`'s `Pipeline`, `wsp-explore`'s workers) can own one without
 // depending on `wsp-lp` directly.
@@ -72,6 +68,11 @@ pub use wsp_lp::{IlpScratch, LpScratch};
 
 use wsp_model::{Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
+
+use layered::synthesize_layered_with_scratch;
+#[cfg(test)]
+use paper::synthesize_paper;
+use paper::synthesize_paper_with_scratch;
 
 /// Which constraint encoding the synthesizer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,37 +90,32 @@ pub enum FlowEngine {
 pub struct FlowSynthesisOptions {
     /// The encoding to use.
     pub engine: FlowEngine,
-    /// ILP solver configuration (node/time limits, exact mode).
+    /// ILP solver configuration (node limit, exact mode, warm starts).
     pub ilp: wsp_lp::IlpOptions,
-    /// If `true`, skip the total-flow minimization and accept the first
-    /// feasible flow set, mirroring the paper's use of a satisfiability
-    /// solver.
-    pub feasibility_only: bool,
-    /// Plan on at most this many cycle periods instead of the full
-    /// `⌊T/t_c⌋`. Fewer periods demand a higher per-period delivery rate
-    /// (more agents) but relax the per-period stock-rate bound
-    /// `f_in ≤ UNITS_AT/q_c`; useful when stock is scarce relative to the
-    /// horizon.
-    pub max_periods: Option<u64>,
-    /// Enforce the Property 4.1 entry-capacity assumption
-    /// `Σ f ≤ ⌊|Cᵢ|/2⌋` (default `Some(true)` semantics via `new`).
-    /// Disabling reproduces the paper's apparent solver configuration —
+    /// Skip the Property 4.1 entry-capacity assumption
+    /// `Σ f ≤ ⌊|Cᵢ|/2⌋` (default `false`: the bound is enforced).
+    /// Skipping reproduces the paper's apparent solver configuration —
     /// its largest instances exceed the capacity bound (DESIGN.md §3.7) —
     /// but uncapacitated flow sets may not be realizable.
     pub skip_capacity: bool,
 }
 
-/// The effective number of cycle periods for a synthesis call.
-pub(crate) fn effective_periods(
-    t_limit: usize,
-    cycle_time: usize,
-    options: &FlowSynthesisOptions,
-) -> u64 {
-    let qc = (t_limit / cycle_time) as u64;
-    match options.max_periods {
-        Some(cap) => qc.min(cap.max(1)),
-        None => qc,
+/// The cycle time `t_c` of `traffic` and the cycle periods
+/// `q_c = ⌊T/t_c⌋` a synthesis call plans on.
+///
+/// # Errors
+///
+/// [`FlowError::HorizonTooShort`] when `t_limit` admits no complete
+/// period.
+pub(crate) fn horizon(traffic: &TrafficSystem, t_limit: usize) -> Result<(usize, u64), FlowError> {
+    let cycle_time = traffic.cycle_time();
+    if cycle_time == 0 || t_limit < cycle_time {
+        return Err(FlowError::HorizonTooShort {
+            t_limit,
+            cycle_time,
+        });
     }
+    Ok((cycle_time, (t_limit / cycle_time) as u64))
 }
 
 /// Synthesizes an agent flow set servicing `workload` within `t_limit`

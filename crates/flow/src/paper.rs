@@ -1,7 +1,7 @@
 //! The monolithic per-product synthesis engine: exactly the §IV-D encoding.
 
 use wsp_contracts::AgContract;
-use wsp_lp::{solve_ilp_with_scratch, IlpOutcome, IlpScratch, LinExpr};
+use wsp_lp::{solve_ilp_with_scratch, IlpOutcome, IlpScratch};
 use wsp_model::{Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
 
@@ -9,15 +9,9 @@ use crate::contracts::{component_contracts, workload_contract, FlowVars};
 use crate::flowset::AgentFlowSet;
 use crate::{FlowError, FlowSynthesisOptions};
 
-/// Synthesizes an agent flow set with the paper's per-product encoding:
-/// compose all component contracts into the traffic-system contract,
-/// conjoin the workload contract, and solve the consistency region as an
-/// ILP (Fig. 3 with Z3 replaced by `wsp-lp`).
-///
-/// # Errors
-///
-/// See [`synthesize_flow`](crate::synthesize_flow).
-pub fn synthesize_paper(
+/// [`synthesize_paper_with_scratch`] on a fresh scratch.
+#[cfg(test)]
+pub(crate) fn synthesize_paper(
     warehouse: &Warehouse,
     traffic: &TrafficSystem,
     workload: &Workload,
@@ -34,13 +28,15 @@ pub fn synthesize_paper(
     )
 }
 
-/// [`synthesize_paper`] with a caller-owned solver scratch, so
-/// back-to-back syntheses reuse the LP workspace.
+/// The [`FlowEngine::PaperIlp`](crate::FlowEngine::PaperIlp) synthesizer:
+/// compose all component contracts into the traffic-system contract,
+/// conjoin the workload contract, and solve the consistency region as an
+/// ILP (Fig. 3 with Z3 replaced by `wsp-lp`) on the caller's scratch.
 ///
 /// # Errors
 ///
 /// See [`synthesize_flow`](crate::synthesize_flow).
-pub fn synthesize_paper_with_scratch(
+pub(crate) fn synthesize_paper_with_scratch(
     warehouse: &Warehouse,
     traffic: &TrafficSystem,
     workload: &Workload,
@@ -48,14 +44,7 @@ pub fn synthesize_paper_with_scratch(
     options: &FlowSynthesisOptions,
     scratch: &mut IlpScratch,
 ) -> Result<AgentFlowSet, FlowError> {
-    let cycle_time = traffic.cycle_time();
-    if cycle_time == 0 || t_limit < cycle_time {
-        return Err(FlowError::HorizonTooShort {
-            t_limit,
-            cycle_time,
-        });
-    }
-    let periods = crate::effective_periods(t_limit, cycle_time, options);
+    let (cycle_time, periods) = crate::horizon(traffic, t_limit)?;
 
     let vars = FlowVars::build(warehouse, traffic, workload);
     let components =
@@ -63,12 +52,7 @@ pub fn synthesize_paper_with_scratch(
     let system_contract = AgContract::compose_all("traffic-system", components.iter());
     let full = system_contract.conjoin(&workload_contract(workload, &vars, periods));
 
-    let objective = if options.feasibility_only {
-        LinExpr::new()
-    } else {
-        vars.total_flow_objective()
-    };
-    let problem = full.synthesis_problem(vars.registry(), objective);
+    let problem = full.synthesis_problem(vars.registry(), vars.total_flow_objective());
     let problem_dims = (problem.var_count(), problem.constraint_count());
 
     let outcome = solve_ilp_with_scratch(&problem, &options.ilp, scratch).map_err(|e| match e {
@@ -179,19 +163,6 @@ mod tests {
         let workload = Workload::zeros(1);
         let flow = synthesize_paper(&w, &ts, &workload, 600, &opts()).unwrap();
         assert_eq!(flow.total_edge_flow(), 0);
-    }
-
-    #[test]
-    fn feasibility_only_mode_still_valid() {
-        let (w, ts) = tiny(100);
-        let workload = Workload::from_demands(vec![10]);
-        let o = FlowSynthesisOptions {
-            feasibility_only: true,
-            ..opts()
-        };
-        let flow = synthesize_paper(&w, &ts, &workload, 600, &o).unwrap();
-        assert!(flow.validate(&w, &ts, &workload).is_empty());
-        assert!(flow.total_deliveries() >= 10);
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //! use the default integer mode for end-to-end planning.
 
 use wsp_contracts::{AgContract, Predicate, VarRegistry};
-use wsp_lp::{
-    solve_lp_with_scratch, BoundOverrides, LinExpr, LpOutcome, LpScratch, Rational, Relation,
-    SimplexOptions,
-};
+use wsp_lp::{solve_lp, BoundOverrides, LinExpr, LpOutcome, Rational, Relation};
 use wsp_model::{Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
 
@@ -51,38 +48,7 @@ pub fn synthesize_flow_relaxed(
     t_limit: usize,
     options: &FlowSynthesisOptions,
 ) -> Result<RelaxedFlowSummary, FlowError> {
-    synthesize_flow_relaxed_with_scratch(
-        warehouse,
-        traffic,
-        workload,
-        t_limit,
-        options,
-        &mut LpScratch::new(),
-    )
-}
-
-/// [`synthesize_flow_relaxed`] with a caller-owned LP scratch, so
-/// back-to-back relaxed solves reuse the simplex workspace.
-///
-/// # Errors
-///
-/// Same classes as [`synthesize_flow`](crate::synthesize_flow).
-pub fn synthesize_flow_relaxed_with_scratch(
-    warehouse: &Warehouse,
-    traffic: &TrafficSystem,
-    workload: &Workload,
-    t_limit: usize,
-    options: &FlowSynthesisOptions,
-    scratch: &mut LpScratch,
-) -> Result<RelaxedFlowSummary, FlowError> {
-    let cycle_time = traffic.cycle_time();
-    if cycle_time == 0 || t_limit < cycle_time {
-        return Err(FlowError::HorizonTooShort {
-            t_limit,
-            cycle_time,
-        });
-    }
-    let periods = crate::effective_periods(t_limit, cycle_time, options);
+    let (cycle_time, periods) = crate::horizon(traffic, t_limit)?;
 
     let (registry, contract, objective) = match options.engine {
         FlowEngine::LayeredIlp => crate::layered::relaxed_system(
@@ -103,12 +69,7 @@ pub fn synthesize_flow_relaxed_with_scratch(
     let problem = contract.synthesis_problem(&registry, objective);
     let (variables, constraints) = (problem.var_count(), problem.constraint_count());
 
-    match solve_lp_with_scratch::<f64>(
-        &problem,
-        &BoundOverrides::none(),
-        &SimplexOptions::default(),
-        scratch,
-    )? {
+    match solve_lp::<f64>(&problem, &BoundOverrides::none())? {
         LpOutcome::Optimal(sol) => Ok(RelaxedFlowSummary {
             objective: sol.objective,
             cycle_time,

@@ -11,14 +11,15 @@
 //! cleanup instead of re-running two-phase simplex from scratch. The
 //! exploration order and every per-node decision are pure functions of the
 //! problem, so warm starts never change the returned solution run to run.
+//! No clock is read: the only limit is the LP-solve budget
+//! [`IlpOptions::max_nodes`].
 
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 use crate::problem::{Problem, Relation, VarId};
 use crate::revised::{self, LpScratch, Start, WarmBasis};
 use crate::scalar::{DEFAULT_INTEGRALITY_TOL, F64_FEAS_TOL};
-use crate::simplex::{solve_lp, BoundOverrides, LpError, LpOutcome, SimplexOptions};
+use crate::simplex::{solve_lp, BoundOverrides, LpError, LpOutcome};
 use crate::Rational;
 
 /// Configuration for the branch-and-bound ILP solver.
@@ -27,18 +28,9 @@ pub struct IlpOptions {
     /// Solve node relaxations with the exact rational simplex instead of
     /// `f64`. Slower; useful for small instances and cross-validation.
     pub exact_lp: bool,
-    /// Hard cap on explored branch-and-bound nodes.
+    /// Hard cap on the LP solves of one ILP solve: node relaxations,
+    /// rounding-dive steps and strong-branch probes all draw from it.
     pub max_nodes: usize,
-    /// Wall-clock limit for the whole solve.
-    pub time_limit: Option<Duration>,
-    /// Simplex kernel options.
-    pub simplex: SimplexOptions,
-    /// Distance from the nearest integer at which an `f64` value counts
-    /// as fractional (default
-    /// [`DEFAULT_INTEGRALITY_TOL`](crate::DEFAULT_INTEGRALITY_TOL)).
-    /// Incumbent pruning uses a separate, fixed slack proportional to
-    /// the solver's feasibility tolerance.
-    pub integrality_tol: f64,
     /// Warm-start child node relaxations from the parent's optimal basis
     /// via a dual-simplex cleanup (default `true`; only meaningful on the
     /// `f64` path). Disabling forces every node through a genuinely cold
@@ -53,9 +45,6 @@ impl Default for IlpOptions {
         IlpOptions {
             exact_lp: false,
             max_nodes: 200_000,
-            time_limit: None,
-            simplex: SimplexOptions::default(),
-            integrality_tol: DEFAULT_INTEGRALITY_TOL,
             warm_start: true,
         }
     }
@@ -86,7 +75,7 @@ pub enum IlpOutcome {
     /// An optimal integer solution (exactly verified).
     Optimal(IlpSolution),
     /// A feasible integer solution found, but optimality was not proven
-    /// before a node/time limit was hit.
+    /// before the node limit was hit.
     Feasible(IlpSolution),
     /// No integer solution exists.
     Infeasible,
@@ -133,7 +122,7 @@ impl IlpSolution {
 pub enum IlpError {
     /// The simplex kernel failed.
     Lp(LpError),
-    /// A node or time limit was hit before any integer solution was found.
+    /// The node limit was hit before any integer solution was found.
     LimitWithoutSolution {
         /// Nodes explored when the limit hit.
         nodes: usize,
@@ -174,8 +163,8 @@ impl From<LpError> for IlpError {
 /// # Errors
 ///
 /// Returns [`IlpError::Lp`] if the simplex kernel fails and
-/// [`IlpError::LimitWithoutSolution`] if limits expire before any integer
-/// solution is found.
+/// [`IlpError::LimitWithoutSolution`] if the node limit expires before any
+/// integer solution is found.
 ///
 /// # Examples
 ///
@@ -326,7 +315,6 @@ pub fn solve_ilp_with_scratch(
     options: &IlpOptions,
     scratch: &mut IlpScratch,
 ) -> Result<IlpOutcome, IlpError> {
-    let start = Instant::now();
     let minimize = matches!(problem.sense(), crate::problem::Sense::Minimize);
     let int_vars: Vec<VarId> = problem.integer_vars().collect();
     let all_integer = int_vars.len() == problem.var_count();
@@ -379,7 +367,7 @@ pub fn solve_ilp_with_scratch(
     let mut strong_budget = STRONG_BRANCH_BUDGET;
 
     while let Some(node) = stack.pop() {
-        if lp_budget == 0 || options.time_limit.is_some_and(|lim| start.elapsed() >= lim) {
+        if lp_budget == 0 {
             limit_hit = true;
             break;
         }
@@ -393,7 +381,7 @@ pub fn solve_ilp_with_scratch(
         } = node;
 
         let (node, raw_basis) = if options.exact_lp {
-            (solve_node_exact(problem, &bounds, options)?, None)
+            (solve_node_exact(problem, &bounds)?, None)
         } else {
             let warm = if options.warm_start {
                 warm.as_deref()
@@ -441,7 +429,6 @@ pub fn solve_ilp_with_scratch(
                 &bounds,
                 &values,
                 basis.as_deref(),
-                (&start, options.time_limit),
                 &mut lp_budget,
             )? {
                 if let Some(sol) = exact_candidate(problem, &dive_vals, &int_vars, all_integer) {
@@ -465,9 +452,9 @@ pub fn solve_ilp_with_scratch(
                 -inc.objective.to_f64()
             };
             // Slack absorbs the f64 solver's bound dust (proportional to
-            // its feasibility tolerance) — deliberately NOT the
-            // user-facing integrality_tol, which only controls
-            // fractionality detection.
+            // its feasibility tolerance) — deliberately NOT
+            // `DEFAULT_INTEGRALITY_TOL`, which only controls fractionality
+            // detection.
             let slack = F64_FEAS_TOL * (1.0 + bound.abs());
             let pruned = if objective_integral {
                 (bound - slack).ceil() >= inc_obj - 0.5
@@ -487,12 +474,12 @@ pub fn solve_ilp_with_scratch(
         for &v in &int_vars {
             let x = values[v.index()];
             let dist = (x - x.round()).abs();
-            if dist > options.integrality_tol {
+            if dist > DEFAULT_INTEGRALITY_TOL {
                 fractional.push((v, x, dist));
             }
         }
         let branch: Option<(VarId, f64)> = if options.exact_lp {
-            most_fractional(&int_vars, &values, options.integrality_tol).map(|(v, x, _)| (v, x))
+            most_fractional(&int_vars, &values).map(|(v, x, _)| (v, x))
         } else {
             if strong_budget > 0 {
                 // Most-fractional-first initialization order.
@@ -506,10 +493,7 @@ pub fn solve_ilp_with_scratch(
                 });
                 for &i in &order {
                     let (v, x, _) = fractional[i];
-                    if strong_budget == 0
-                        || lp_budget < 2
-                        || options.time_limit.is_some_and(|lim| start.elapsed() >= lim)
-                    {
+                    if strong_budget == 0 || lp_budget < 2 {
                         break;
                     }
                     if pseudo.up_count[v.index()] >= RELIABLE_AFTER
@@ -568,7 +552,7 @@ pub fn solve_ilp_with_scratch(
                     None => {
                         // Rounding broke exact feasibility: redo this node
                         // with the exact simplex.
-                        let exact_node = solve_node_exact_rational(problem, &bounds, options)?;
+                        let exact_node = solve_node_exact_rational(problem, &bounds)?;
                         if let Some((vals, frac)) = exact_node_candidate(&int_vars, exact_node) {
                             match frac {
                                 None => {
@@ -643,13 +627,14 @@ fn frac_dist(x: f64, up: bool) -> f64 {
 }
 
 /// The most fractional integer variable of `values` (ties keep the
-/// lowest id), or `None` when all are integral within `tol`.
-fn most_fractional(int_vars: &[VarId], values: &[f64], tol: f64) -> Option<(VarId, f64, f64)> {
+/// lowest id), or `None` when all are integral within
+/// [`DEFAULT_INTEGRALITY_TOL`].
+fn most_fractional(int_vars: &[VarId], values: &[f64]) -> Option<(VarId, f64, f64)> {
     let mut best: Option<(VarId, f64, f64)> = None;
     for &v in int_vars {
         let x = values[v.index()];
         let dist = (x - x.round()).abs();
-        if dist > tol {
+        if dist > DEFAULT_INTEGRALITY_TOL {
             match best {
                 Some((_, _, b)) if dist <= b => {}
                 _ => best = Some((v, x, dist)),
@@ -736,8 +721,7 @@ fn presolve_singleton_rows(problem: &Problem) -> Option<BoundOverrides> {
 /// round-down dive stumbles onto an integer solution.
 ///
 /// Pure function of `(problem, root solution, options)` — determinism of
-/// the overall solve is preserved. Honors the solve's wall-clock
-/// deadline: the dive stops early rather than overshooting `time_limit`.
+/// the overall solve is preserved.
 #[allow(clippy::too_many_arguments)]
 fn rounding_dive(
     problem: &Problem,
@@ -747,17 +731,13 @@ fn rounding_dive(
     root_bounds: &BoundOverrides,
     root_values: &[f64],
     root_basis: Option<&WarmBasis>,
-    deadline: (&Instant, Option<Duration>),
     lp_budget: &mut usize,
 ) -> Result<Option<Vec<f64>>, IlpError> {
     let mut bounds = root_bounds.clone();
     let mut warm: Option<WarmBasis> = root_basis.cloned();
     let mut values = root_values.to_vec();
     for _ in 0..int_vars.len() * 2 {
-        if deadline.1.is_some_and(|lim| deadline.0.elapsed() >= lim) {
-            return Ok(None);
-        }
-        let Some((v, x, _)) = most_fractional(int_vars, &values, options.integrality_tol) else {
+        let Some((v, x, _)) = most_fractional(int_vars, &values) else {
             return Ok(Some(values));
         };
         let mut fixed = None;
@@ -812,7 +792,7 @@ fn solve_node_f64(
         None if options.warm_start => Start::Auto,
         None => Start::Cold,
     };
-    let (out, basis) = revised::solve_f64(problem, bounds, &options.simplex, scratch, start)?;
+    let (out, basis) = revised::solve_f64(problem, bounds, scratch, start)?;
     Ok((
         match out {
             LpOutcome::Optimal(sol) => NodeOutcome::Solved {
@@ -826,34 +806,25 @@ fn solve_node_f64(
     ))
 }
 
-fn solve_node_exact(
-    problem: &Problem,
-    bounds: &BoundOverrides,
-    options: &IlpOptions,
-) -> Result<NodeOutcome, IlpError> {
-    Ok(
-        match solve_lp::<Rational>(problem, bounds, &options.simplex)? {
-            LpOutcome::Optimal(sol) => NodeOutcome::Solved {
-                values: sol.values.iter().map(|v| v.to_f64()).collect(),
-                objective: sol.objective.to_f64(),
-            },
-            LpOutcome::Infeasible => NodeOutcome::Infeasible,
-            LpOutcome::Unbounded => NodeOutcome::Unbounded,
+fn solve_node_exact(problem: &Problem, bounds: &BoundOverrides) -> Result<NodeOutcome, IlpError> {
+    Ok(match solve_lp::<Rational>(problem, bounds)? {
+        LpOutcome::Optimal(sol) => NodeOutcome::Solved {
+            values: sol.values.iter().map(|v| v.to_f64()).collect(),
+            objective: sol.objective.to_f64(),
         },
-    )
+        LpOutcome::Infeasible => NodeOutcome::Infeasible,
+        LpOutcome::Unbounded => NodeOutcome::Unbounded,
+    })
 }
 
 fn solve_node_exact_rational(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &IlpOptions,
 ) -> Result<Option<Vec<Rational>>, IlpError> {
-    Ok(
-        match solve_lp::<Rational>(problem, bounds, &options.simplex)? {
-            LpOutcome::Optimal(sol) => Some(sol.values),
-            _ => None,
-        },
-    )
+    Ok(match solve_lp::<Rational>(problem, bounds)? {
+        LpOutcome::Optimal(sol) => Some(sol.values),
+        _ => None,
+    })
 }
 
 /// Classifies an exact node solution: integral (no fractional int var) or

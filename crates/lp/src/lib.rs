@@ -54,7 +54,7 @@ pub use ilp::{
 pub use problem::{Constraint, LinExpr, Problem, Relation, Sense, VarId, VarInfo};
 pub use rational::Rational;
 pub use revised::LpScratch;
-pub use scalar::{Scalar, DEFAULT_INTEGRALITY_TOL, F64_FEAS_TOL, F64_PIVOT_TOL, F64_TOL};
+pub use scalar::Scalar;
 pub use simplex::{
-    solve_lp, solve_lp_with_scratch, BoundOverrides, LpError, LpOutcome, LpSolution, SimplexOptions,
+    solve_lp, solve_lp_with_scratch, BoundOverrides, LpError, LpOutcome, LpSolution,
 };

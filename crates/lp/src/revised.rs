@@ -40,7 +40,9 @@
 
 use crate::problem::{Problem, Relation, Sense, SparseView, VarId};
 use crate::scalar::{F64_FEAS_TOL, F64_PIVOT_TOL, F64_TOL};
-use crate::simplex::{BoundOverrides, LpError, LpOutcome, LpSolution, SimplexOptions};
+use crate::simplex::{
+    BoundOverrides, LpError, LpOutcome, LpSolution, BLAND_AFTER_STALLS, MAX_ITERATIONS,
+};
 
 const INF: f64 = f64::INFINITY;
 /// Eta-file length that triggers a refactorization (which also re-solves
@@ -575,14 +577,13 @@ impl Factor {
 /// One scratch serves problems of any size (arrays are resized per load)
 /// and is what `wsp_core::Pipeline` owns and `wsp-explore` keeps one of
 /// per worker. Reusing a scratch never changes results: solves are a pure
-/// function of `(problem, bounds, options)`. The only state carried
-/// across solves is allocation capacity, plus a converged basis that is
-/// reused *only* when the next problem's full data fingerprint matches
-/// the previous one (re-solving an identical problem), where the warm
-/// start provably returns the same optimum — that gate is what lets the
-/// explorer keep its byte-identical determinism contract while repeated
-/// evaluations of a shared constraint skeleton skip straight to a
-/// zero-pivot confirmation.
+/// function of `(problem, bounds)`. The only state carried across solves
+/// is allocation capacity, plus a converged basis that is reused *only*
+/// when the next problem's full data fingerprint matches the previous one
+/// (re-solving an identical problem), where the warm start provably
+/// returns the same optimum — that gate is what lets the explorer keep its
+/// byte-identical determinism contract while repeated evaluations of a
+/// shared constraint skeleton skip straight to a zero-pivot confirmation.
 #[derive(Debug, Default)]
 pub struct LpScratch {
     // Standardized problem (rebuilt per load). Columns: structural
@@ -871,14 +872,10 @@ impl LpScratch {
     /// Bounded-variable primal simplex on the current cost vector.
     /// Requires a primal-feasible basis; ends at optimality or detects
     /// unboundedness.
-    fn primal(
-        &mut self,
-        view: &SparseView,
-        options: &SimplexOptions,
-    ) -> Result<PrimalEnd, Breakdown> {
+    fn primal(&mut self, view: &SparseView) -> Result<PrimalEnd, Breakdown> {
         let mut stalls = 0usize;
-        for _ in 0..options.max_iterations {
-            let bland = stalls >= options.bland_after_stalls;
+        for _ in 0..MAX_ITERATIONS {
+            let bland = stalls >= BLAND_AFTER_STALLS;
             self.btran_costs();
             self.price_costs(view);
 
@@ -1017,10 +1014,10 @@ impl LpScratch {
     /// basis, repairs primal feasibility after bound changes (the warm
     /// start). Returns `Infeasible` when a violated basic admits no
     /// entering column — the dual ray proving primal infeasibility.
-    fn dual(&mut self, view: &SparseView, options: &SimplexOptions) -> Result<DualEnd, Breakdown> {
+    fn dual(&mut self, view: &SparseView) -> Result<DualEnd, Breakdown> {
         let mut stalls = 0usize;
-        for _ in 0..options.max_iterations {
-            let bland = stalls >= options.bland_after_stalls;
+        for _ in 0..MAX_ITERATIONS {
+            let bland = stalls >= BLAND_AFTER_STALLS;
             // Leaving: the basic variable with the largest bound violation.
             let mut leave: Option<(usize, f64, bool)> = None;
             for (p, &j) in self.basis.iter().enumerate() {
@@ -1170,18 +1167,17 @@ pub(crate) enum Start<'a> {
 pub(crate) fn solve_f64(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &SimplexOptions,
     scratch: &mut LpScratch,
     start: Start<'_>,
 ) -> Result<(LpOutcome<f64>, Option<WarmBasis>), LpError> {
-    match solve_sparse(problem, bounds, options, scratch, start) {
+    match solve_sparse(problem, bounds, scratch, start) {
         Ok(out) => Ok(out),
         Err(Breakdown::IterationLimit) => Err(LpError::IterationLimit {
-            limit: options.max_iterations,
+            limit: MAX_ITERATIONS,
         }),
         Err(Breakdown::Numerical) => {
             scratch.converged = false;
-            crate::simplex::solve_dense::<f64>(problem, bounds, options).map(|o| (o, None))
+            crate::simplex::solve_dense::<f64>(problem, bounds).map(|o| (o, None))
         }
     }
 }
@@ -1189,7 +1185,6 @@ pub(crate) fn solve_f64(
 fn solve_sparse(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &SimplexOptions,
     scratch: &mut LpScratch,
     start: Start<'_>,
 ) -> Result<(LpOutcome<f64>, Option<WarmBasis>), Breakdown> {
@@ -1232,11 +1227,11 @@ fn solve_sparse(
 
     if warm_installed {
         scratch.load_phase2_cost(problem);
-        match scratch.dual(view, options)? {
+        match scratch.dual(view)? {
             DualEnd::Infeasible => return Ok((LpOutcome::Infeasible, None)),
             DualEnd::PrimalFeasible => {}
         }
-        match scratch.primal(view, options)? {
+        match scratch.primal(view)? {
             PrimalEnd::Unbounded => return Ok((LpOutcome::Unbounded, None)),
             PrimalEnd::Optimal => {}
         }
@@ -1251,7 +1246,7 @@ fn solve_sparse(
                     scratch.cost[scratch.n_struct + scratch.m + i] = sign as f64;
                 }
             }
-            match scratch.primal(view, options)? {
+            match scratch.primal(view)? {
                 PrimalEnd::Unbounded => {
                     debug_assert!(false, "phase-1 objective is bounded below by zero");
                     return Err(Breakdown::Numerical);
@@ -1277,7 +1272,7 @@ fn solve_sparse(
         }
         // ---- Phase 2. ----
         scratch.load_phase2_cost(problem);
-        match scratch.primal(view, options)? {
+        match scratch.primal(view)? {
             PrimalEnd::Unbounded => return Ok((LpOutcome::Unbounded, None)),
             PrimalEnd::Optimal => {}
         }
@@ -1680,14 +1675,8 @@ mod tests {
         obj.add_term(x, r(1)).add_term(y, r(1));
         p.maximize(obj);
         let mut scratch = LpScratch::new();
-        let (out, warm) = solve_f64(
-            &p,
-            &BoundOverrides::none(),
-            &SimplexOptions::default(),
-            &mut scratch,
-            Start::Auto,
-        )
-        .unwrap();
+        let (out, warm) =
+            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
         match out {
             LpOutcome::Optimal(sol) => {
                 assert!((sol.objective - 2.8).abs() < 1e-7, "{}", sol.objective);
@@ -1710,35 +1699,15 @@ mod tests {
         p.add_constraint(c.clone(), Relation::Ge, r(3), "demand");
         p.minimize(c);
         let mut scratch = LpScratch::new();
-        let (out, warm) = solve_f64(
-            &p,
-            &BoundOverrides::none(),
-            &SimplexOptions::default(),
-            &mut scratch,
-            Start::Auto,
-        )
-        .unwrap();
+        let (out, warm) =
+            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
         let warm = warm.expect("optimal");
         assert!(matches!(out, LpOutcome::Optimal(_)));
 
         let mut tight = BoundOverrides::none();
         tight.tighten_lower(x, Rational::new(5, 2));
-        let (warm_out, _) = solve_f64(
-            &p,
-            &tight,
-            &SimplexOptions::default(),
-            &mut scratch,
-            Start::Warm(&warm),
-        )
-        .unwrap();
-        let (cold_out, _) = solve_f64(
-            &p,
-            &tight,
-            &SimplexOptions::default(),
-            &mut LpScratch::new(),
-            Start::Cold,
-        )
-        .unwrap();
+        let (warm_out, _) = solve_f64(&p, &tight, &mut scratch, Start::Warm(&warm)).unwrap();
+        let (cold_out, _) = solve_f64(&p, &tight, &mut LpScratch::new(), Start::Cold).unwrap();
         match (warm_out, cold_out) {
             (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
                 assert!((a.objective - b.objective).abs() < 1e-7);
@@ -1756,20 +1725,12 @@ mod tests {
         p.set_upper(x, r(4));
         p.minimize(LinExpr::var(x));
         let mut scratch = LpScratch::new();
-        let (_, warm) = solve_f64(
-            &p,
-            &BoundOverrides::none(),
-            &SimplexOptions::default(),
-            &mut scratch,
-            Start::Auto,
-        )
-        .unwrap();
+        let (_, warm) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
         let mut b = BoundOverrides::none();
         b.tighten_lower(x, r(5));
         let (out, _) = solve_f64(
             &p,
             &b,
-            &SimplexOptions::default(),
             &mut scratch,
             warm.as_ref().map_or(Start::Auto, Start::Warm),
         )
@@ -1789,23 +1750,9 @@ mod tests {
         obj.add_term(x, r(1)).add_term(y, r(2));
         p.maximize(obj);
         let mut scratch = LpScratch::new();
-        let opts = SimplexOptions::default();
-        let (first, _) = solve_f64(
-            &p,
-            &BoundOverrides::none(),
-            &opts,
-            &mut scratch,
-            Start::Auto,
-        )
-        .unwrap();
-        let (second, _) = solve_f64(
-            &p,
-            &BoundOverrides::none(),
-            &opts,
-            &mut scratch,
-            Start::Auto,
-        )
-        .unwrap();
+        let (first, _) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
+        let (second, _) =
+            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
         assert_eq!(first, second);
     }
 }

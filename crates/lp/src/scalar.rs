@@ -6,7 +6,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 
 use crate::problem::Problem;
 use crate::revised::{self, LpScratch};
-use crate::simplex::{solve_dense, BoundOverrides, LpError, LpOutcome, SimplexOptions};
+use crate::simplex::{solve_dense, BoundOverrides, LpError, LpOutcome};
 use crate::Rational;
 
 /// A field scalar usable by the simplex kernel.
@@ -53,7 +53,6 @@ pub trait Scalar:
     fn solve_with_scratch(
         problem: &Problem,
         bounds: &BoundOverrides,
-        options: &SimplexOptions,
         scratch: &mut LpScratch,
     ) -> Result<LpOutcome<Self>, LpError>
     where
@@ -69,24 +68,23 @@ mod private {
 /// Comparison tolerance for the `f64` instantiation: values within this of
 /// zero are treated as zero by [`Scalar::is_zero_tol`], and reduced costs /
 /// bound comparisons use it as the strict-inequality margin.
-pub const F64_TOL: f64 = 1e-9;
+pub(crate) const F64_TOL: f64 = 1e-9;
 
 /// Primal feasibility tolerance of the `f64` solvers: a basic value may
 /// stray this far outside its bounds (and a phase-1 infeasibility sum this
 /// far above zero) before it counts as a real violation. Also the clamp
 /// threshold for the numerical dust the dense tableau's pivots leave on
 /// right-hand sides — the former inline `1e-7` magic number.
-pub const F64_FEAS_TOL: f64 = 1e-7;
+pub(crate) const F64_FEAS_TOL: f64 = 1e-7;
 
 /// Minimum magnitude an `f64` pivot element may have: ratio tests and the
 /// basis factorization reject pivots smaller than this as numerically
 /// unreliable.
-pub const F64_PIVOT_TOL: f64 = 1e-8;
+pub(crate) const F64_PIVOT_TOL: f64 = 1e-8;
 
-/// Default distance from the nearest integer at which an `f64` relaxation
-/// value counts as fractional in branch-and-bound
-/// ([`IlpOptions::integrality_tol`](crate::IlpOptions::integrality_tol)).
-pub const DEFAULT_INTEGRALITY_TOL: f64 = 1e-6;
+/// Distance from the nearest integer at which an `f64` relaxation value
+/// counts as fractional in branch-and-bound.
+pub(crate) const DEFAULT_INTEGRALITY_TOL: f64 = 1e-6;
 
 impl Scalar for f64 {
     const EXACT: bool = false;
@@ -111,11 +109,9 @@ impl Scalar for f64 {
     fn solve_with_scratch(
         problem: &Problem,
         bounds: &BoundOverrides,
-        options: &SimplexOptions,
         scratch: &mut LpScratch,
     ) -> Result<LpOutcome<f64>, LpError> {
-        revised::solve_f64(problem, bounds, options, scratch, revised::Start::Auto)
-            .map(|(out, _)| out)
+        revised::solve_f64(problem, bounds, scratch, revised::Start::Auto).map(|(out, _)| out)
     }
 }
 
@@ -142,10 +138,9 @@ impl Scalar for Rational {
     fn solve_with_scratch(
         problem: &Problem,
         bounds: &BoundOverrides,
-        options: &SimplexOptions,
         _scratch: &mut LpScratch,
     ) -> Result<LpOutcome<Rational>, LpError> {
-        solve_dense::<Rational>(problem, bounds, options)
+        solve_dense::<Rational>(problem, bounds)
     }
 }
 

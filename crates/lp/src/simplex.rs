@@ -14,23 +14,13 @@ use crate::revised::LpScratch;
 use crate::scalar::{Scalar, F64_FEAS_TOL};
 use crate::Rational;
 
-/// Configuration for the simplex kernel.
-#[derive(Debug, Clone)]
-pub struct SimplexOptions {
-    /// Hard cap on pivot iterations per phase.
-    pub max_iterations: usize,
-    /// Switch to Bland's rule after this many non-improving pivots.
-    pub bland_after_stalls: usize,
-}
+/// Hard cap on pivot iterations per simplex phase (both kernels); past
+/// it a solve fails with [`LpError::IterationLimit`].
+pub(crate) const MAX_ITERATIONS: usize = 200_000;
 
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            max_iterations: 200_000,
-            bland_after_stalls: 64,
-        }
-    }
-}
+/// Non-improving pivots after which both kernels switch from Dantzig's
+/// rule to Bland's.
+pub(crate) const BLAND_AFTER_STALLS: usize = 64;
 
 /// Additional per-variable bound tightenings layered on top of a
 /// [`Problem`], used by branch-and-bound without mutating the base problem.
@@ -146,7 +136,7 @@ pub struct LpSolution<S> {
 pub enum LpError {
     /// The pivot iteration cap was reached (possible numerical cycling).
     IterationLimit {
-        /// The configured cap.
+        /// The cap that was reached.
         limit: usize,
     },
 }
@@ -173,7 +163,7 @@ impl std::error::Error for LpError {}
 /// # Examples
 ///
 /// ```
-/// use wsp_lp::{solve_lp, BoundOverrides, LinExpr, LpOutcome, Problem, Rational, Relation, SimplexOptions};
+/// use wsp_lp::{solve_lp, BoundOverrides, LinExpr, LpOutcome, Problem, Rational, Relation};
 ///
 /// // max x + y s.t. x + 2y <= 4, 3x + y <= 6  ->  opt at (1.6, 1.2) = 2.8
 /// let mut p = Problem::new();
@@ -189,7 +179,7 @@ impl std::error::Error for LpError {}
 /// obj.add_term(x, Rational::ONE).add_term(y, Rational::ONE);
 /// p.maximize(obj);
 ///
-/// let out = solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default())?;
+/// let out = solve_lp::<Rational>(&p, &BoundOverrides::none())?;
 /// match out {
 ///     LpOutcome::Optimal(sol) => assert_eq!(sol.objective, Rational::new(14, 5)),
 ///     _ => panic!("expected optimal"),
@@ -199,9 +189,8 @@ impl std::error::Error for LpError {}
 pub fn solve_lp<S: Scalar>(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &SimplexOptions,
 ) -> Result<LpOutcome<S>, LpError> {
-    S::solve_with_scratch(problem, bounds, options, &mut LpScratch::default())
+    S::solve_with_scratch(problem, bounds, &mut LpScratch::default())
 }
 
 /// [`solve_lp`] with a caller-owned [`LpScratch`], so back-to-back `f64`
@@ -216,10 +205,9 @@ pub fn solve_lp<S: Scalar>(
 pub fn solve_lp_with_scratch<S: Scalar>(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &SimplexOptions,
     scratch: &mut LpScratch,
 ) -> Result<LpOutcome<S>, LpError> {
-    S::solve_with_scratch(problem, bounds, options, scratch)
+    S::solve_with_scratch(problem, bounds, scratch)
 }
 
 /// The dense tableau path, kept as the exact solver for `Rational` and as
@@ -227,9 +215,8 @@ pub fn solve_lp_with_scratch<S: Scalar>(
 pub(crate) fn solve_dense<S: Scalar>(
     problem: &Problem,
     bounds: &BoundOverrides,
-    options: &SimplexOptions,
 ) -> Result<LpOutcome<S>, LpError> {
-    Tableau::<S>::build(problem, bounds).solve(problem, options)
+    Tableau::<S>::build(problem, bounds).solve(problem)
 }
 
 /// One row of the standardized system `a · x = rhs` with `rhs ≥ 0`.
@@ -353,11 +340,7 @@ impl<S: Scalar> Tableau<S> {
     }
 
     /// Runs phases 1 and 2 and extracts the solution.
-    fn solve(
-        mut self,
-        problem: &Problem,
-        options: &SimplexOptions,
-    ) -> Result<LpOutcome<S>, LpError> {
+    fn solve(mut self, problem: &Problem) -> Result<LpOutcome<S>, LpError> {
         // ---- Phase 1: minimize the sum of artificials. ----
         if self.art_start < self.n_cols {
             let mut cost = vec![S::zero(); self.n_cols];
@@ -366,7 +349,7 @@ impl<S: Scalar> Tableau<S> {
             }
             let mut cost_rhs = S::zero();
             self.reduce_cost_row(&mut cost, &mut cost_rhs);
-            let outcome = self.iterate(&mut cost, &mut cost_rhs, self.n_cols, options)?;
+            let outcome = self.iterate(&mut cost, &mut cost_rhs, self.n_cols)?;
             debug_assert!(
                 !matches!(outcome, IterateOutcome::Unbounded),
                 "phase-1 objective is bounded below by zero"
@@ -389,7 +372,7 @@ impl<S: Scalar> Tableau<S> {
         let mut cost_rhs = S::zero();
         self.reduce_cost_row(&mut cost, &mut cost_rhs);
         // Artificials may not re-enter the basis.
-        let outcome = self.iterate(&mut cost, &mut cost_rhs, self.art_start, options)?;
+        let outcome = self.iterate(&mut cost, &mut cost_rhs, self.art_start)?;
         if matches!(outcome, IterateOutcome::Unbounded) {
             return Ok(LpOutcome::Unbounded);
         }
@@ -428,11 +411,10 @@ impl<S: Scalar> Tableau<S> {
         cost: &mut [S],
         cost_rhs: &mut S,
         col_limit: usize,
-        options: &SimplexOptions,
     ) -> Result<IterateOutcome, LpError> {
         let mut stalls = 0usize;
-        for _iter in 0..options.max_iterations {
-            let bland = stalls >= options.bland_after_stalls;
+        for _iter in 0..MAX_ITERATIONS {
+            let bland = stalls >= BLAND_AFTER_STALLS;
             // Entering column: reduced cost < 0.
             let entering = if bland {
                 (0..col_limit).find(|&j| cost[j].is_neg_tol())
@@ -485,7 +467,7 @@ impl<S: Scalar> Tableau<S> {
             self.pivot(i, j, cost, cost_rhs);
         }
         Err(LpError::IterationLimit {
-            limit: options.max_iterations,
+            limit: MAX_ITERATIONS,
         })
     }
 
@@ -600,8 +582,7 @@ mod tests {
     #[test]
     fn optimal_rational_exact() {
         let p = two_var_max();
-        let out =
-            solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap();
+        let out = solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap();
         match out {
             LpOutcome::Optimal(sol) => {
                 assert_eq!(sol.objective, Rational::new(14, 5));
@@ -615,7 +596,7 @@ mod tests {
     #[test]
     fn optimal_f64_matches_exact() {
         let p = two_var_max();
-        let out = solve_lp::<f64>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap();
+        let out = solve_lp::<f64>(&p, &BoundOverrides::none()).unwrap();
         match out {
             LpOutcome::Optimal(sol) => {
                 assert!((sol.objective - 2.8).abs() < 1e-7);
@@ -630,8 +611,7 @@ mod tests {
         let x = p.add_var("x");
         p.add_constraint(LinExpr::var(x), Relation::Ge, r(5), "ge");
         p.add_constraint(LinExpr::var(x), Relation::Le, r(3), "le");
-        let out =
-            solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap();
+        let out = solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap();
         assert_eq!(out, LpOutcome::Infeasible);
     }
 
@@ -640,8 +620,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var("x");
         p.maximize(LinExpr::var(x));
-        let out =
-            solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap();
+        let out = solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap();
         assert_eq!(out, LpOutcome::Unbounded);
     }
 
@@ -660,8 +639,7 @@ mod tests {
         let mut obj = LinExpr::new();
         obj.add_term(x, r(1)).add_term(y, r(1));
         p.minimize(obj);
-        match solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap()
-        {
+        match solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap() {
             LpOutcome::Optimal(sol) => {
                 assert_eq!(sol.values, vec![r(2), r(1)]);
                 assert_eq!(sol.objective, r(3));
@@ -676,8 +654,7 @@ mod tests {
         let x = p.add_var("x");
         p.set_upper(x, r(7));
         p.maximize(LinExpr::var(x));
-        match solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap()
-        {
+        match solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap() {
             LpOutcome::Optimal(sol) => assert_eq!(sol.objective, r(7)),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -691,7 +668,7 @@ mod tests {
         p.maximize(LinExpr::var(x));
         let mut b = BoundOverrides::none();
         b.tighten_upper(x, r(2));
-        match solve_lp::<Rational>(&p, &b, &SimplexOptions::default()).unwrap() {
+        match solve_lp::<Rational>(&p, &b).unwrap() {
             LpOutcome::Optimal(sol) => assert_eq!(sol.objective, r(2)),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -701,7 +678,7 @@ mod tests {
         p2.minimize(LinExpr::var(x2));
         let mut b2 = BoundOverrides::none();
         b2.tighten_lower(x2, r(3));
-        match solve_lp::<Rational>(&p2, &b2, &SimplexOptions::default()).unwrap() {
+        match solve_lp::<Rational>(&p2, &b2).unwrap() {
             LpOutcome::Optimal(sol) => assert_eq!(sol.objective, r(3)),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -715,7 +692,7 @@ mod tests {
         let mut b = BoundOverrides::none();
         b.tighten_lower(x, r(5));
         b.tighten_upper(x, r(4));
-        let out = solve_lp::<Rational>(&p, &b, &SimplexOptions::default()).unwrap();
+        let out = solve_lp::<Rational>(&p, &b).unwrap();
         assert_eq!(out, LpOutcome::Infeasible);
     }
 
@@ -734,8 +711,7 @@ mod tests {
         obj.add_term(x, r(1)).add_term(y, r(1));
         p.maximize(obj);
         // x = y = 0 is the only feasible point (x, y >= 0 and x*k + y <= 0).
-        match solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap()
-        {
+        match solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap() {
             LpOutcome::Optimal(sol) => assert_eq!(sol.objective, r(0)),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -750,8 +726,7 @@ mod tests {
         c.add_term(x, r(-1));
         p.add_constraint(c, Relation::Le, r(-2), "negrhs");
         p.minimize(LinExpr::var(x));
-        match solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap()
-        {
+        match solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap() {
             LpOutcome::Optimal(sol) => assert_eq!(sol.objective, r(2)),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -760,8 +735,7 @@ mod tests {
     #[test]
     fn empty_problem_is_trivially_optimal() {
         let p = Problem::new();
-        match solve_lp::<Rational>(&p, &BoundOverrides::none(), &SimplexOptions::default()).unwrap()
-        {
+        match solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap() {
             LpOutcome::Optimal(sol) => {
                 assert!(sol.values.is_empty());
                 assert_eq!(sol.objective, r(0));

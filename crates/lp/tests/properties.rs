@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use wsp_lp::{
     solve_ilp, solve_lp, solve_lp_with_scratch, BoundOverrides, IlpOptions, IlpOutcome, LinExpr,
-    LpOutcome, LpScratch, Problem, Rational, Relation, SimplexOptions, VarId,
+    LpOutcome, LpScratch, Problem, Rational, Relation, VarId,
 };
 
 fn small_rational() -> impl Strategy<Value = Rational> {
@@ -97,9 +97,8 @@ proptest! {
 
     #[test]
     fn f64_and_exact_simplex_agree(p in random_bounded_lp()) {
-        let opts = SimplexOptions::default();
-        let fast = solve_lp::<f64>(&p, &BoundOverrides::none(), &opts).unwrap();
-        let exact = solve_lp::<Rational>(&p, &BoundOverrides::none(), &opts).unwrap();
+        let fast = solve_lp::<f64>(&p, &BoundOverrides::none()).unwrap();
+        let exact = solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap();
         match (fast, exact) {
             (LpOutcome::Optimal(f), LpOutcome::Optimal(e)) => {
                 prop_assert!((f.objective - e.objective.to_f64()).abs() < 1e-6,
@@ -111,9 +110,8 @@ proptest! {
 
     #[test]
     fn exact_lp_solution_is_exactly_feasible(p in random_bounded_lp()) {
-        let opts = SimplexOptions::default();
         if let LpOutcome::Optimal(sol) =
-            solve_lp::<Rational>(&p, &BoundOverrides::none(), &opts).unwrap()
+            solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap()
         {
             prop_assert!(p.violations(&sol.values).is_empty(),
                 "exact solution violates: {:?}", p.violations(&sol.values));
@@ -187,9 +185,8 @@ proptest! {
     /// `f64` point feasible under the exact constraint check.
     #[test]
     fn sparse_f64_matches_rational_oracle_on_flow_shapes(p in random_flow_shaped_lp()) {
-        let opts = SimplexOptions::default();
-        let fast = solve_lp::<f64>(&p, &BoundOverrides::none(), &opts).unwrap();
-        let exact = solve_lp::<Rational>(&p, &BoundOverrides::none(), &opts).unwrap();
+        let fast = solve_lp::<f64>(&p, &BoundOverrides::none()).unwrap();
+        let exact = solve_lp::<Rational>(&p, &BoundOverrides::none()).unwrap();
         match (fast, exact) {
             (LpOutcome::Optimal(f), LpOutcome::Optimal(e)) => {
                 prop_assert!(
@@ -206,16 +203,15 @@ proptest! {
     /// changes any solve's outcome (the warm state is fingerprint-gated).
     #[test]
     fn scratch_reuse_is_pure(problems in proptest::collection::vec(random_flow_shaped_lp(), 1..4)) {
-        let opts = SimplexOptions::default();
         let mut scratch = LpScratch::new();
         for p in &problems {
             // Twice through the shared scratch (second solve takes the
             // fingerprint warm path), once through a fresh one.
-            let a = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &opts, &mut scratch)
+            let a = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &mut scratch)
                 .unwrap();
-            let b = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &opts, &mut scratch)
+            let b = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &mut scratch)
                 .unwrap();
-            let fresh = solve_lp::<f64>(p, &BoundOverrides::none(), &opts).unwrap();
+            let fresh = solve_lp::<f64>(p, &BoundOverrides::none()).unwrap();
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &fresh);
         }

@@ -70,10 +70,11 @@ impl Json {
     }
 
     /// The value as a non-negative integer (rejects fractions, negatives,
-    /// and anything above 2^53 where doubles lose exactness).
+    /// and anything from 2^53 up, where a double no longer tells adjacent
+    /// integers apart).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -393,6 +394,9 @@ mod tests {
         assert_eq!(Json::parse("7.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
+        // 2^53 and 2^53 + 1 both parse to the double 2^53.
+        assert_eq!(Json::parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -304,11 +304,12 @@ impl SimSpec {
                     "deviations",
                     &["mean_gap", "min_ticks", "max_ticks", "seed"],
                 )?;
+                let defaults = DeviationConfig::default();
                 DeviationConfig::stalls(
-                    get_u32(v, "mean_gap", 0)?,
-                    get_u32(v, "min_ticks", 1)?,
-                    get_u32(v, "max_ticks", 1)?,
-                    get_u64(v, "seed", 0)?,
+                    get_u32(v, "mean_gap", defaults.mean_gap)?,
+                    get_u32(v, "min_ticks", defaults.min_ticks)?,
+                    get_u32(v, "max_ticks", defaults.max_ticks)?,
+                    get_u64(v, "seed", defaults.seed)?,
                 )
             }
         };
@@ -577,6 +578,13 @@ mod tests {
         assert_eq!(spec.repair.threads, Some(3));
         assert_eq!(spec.deviations.mean_gap, 16);
         assert_eq!(spec.total(), 260);
+
+        // Unset deviation fields keep the library defaults.
+        let partial = SimSpec::from_json(&parse(r#"{"deviations": {"mean_gap": 16}}"#)).unwrap();
+        assert_eq!(
+            format!("{:?}", partial.deviations),
+            format!("{:?}", DeviationConfig::stalls(16, 2, 8, 0xdead))
+        );
         let config = spec.config(wsp_model::Workload::from_demands(vec![1; 3]));
         assert_eq!(config.ticks, 260);
         assert_eq!(config.stream.mean_gap, 4);

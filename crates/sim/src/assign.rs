@@ -70,21 +70,6 @@ pub enum AssignPolicy {
 pub struct AssignConfig {
     /// The policy (Static by default — existing configs are unchanged).
     pub policy: AssignPolicy,
-    /// Most tasks batched onto one agent per assignment (the first task
-    /// plus up to `batch - 1` queued same-product followers).
-    pub batch: usize,
-    /// Idle agents staged near each station by the rebalancer (`0`
-    /// disables rebalancing).
-    pub rebalance_per_station: usize,
-    /// Station-pressure weight: each already-assigned undelivered task at
-    /// a station adds this many BFS steps to its bid, spreading load.
-    pub station_bias: u32,
-    /// Ticks a mission agent stays blocked before nudging a parked
-    /// blocker into a drift walk.
-    pub yield_after: u32,
-    /// Ticks blocked before a task mission reroutes around the contested
-    /// cell (repositioning missions give up and park instead).
-    pub reroute_after: u32,
     /// Longest route (in cells, endpoints included) the auction will
     /// install. The parity field occasionally prices a `(agent, site)`
     /// pair at thousands of cells — a detour the whole width of the
@@ -101,11 +86,6 @@ impl Default for AssignConfig {
     fn default() -> Self {
         AssignConfig {
             policy: AssignPolicy::Static,
-            batch: 4,
-            rebalance_per_station: 2,
-            station_bias: 8,
-            yield_after: 2,
-            reroute_after: 8,
             route_cap: 1024,
         }
     }
@@ -465,7 +445,7 @@ impl AuctionState {
     /// pre-cache full scan is the oracle it is property-tested against).
     /// Stations `dark` reports out (an outage) are skipped: they take no
     /// new assignments, so pressure redistributes through the usual
-    /// `station_bias` term while their queued tasks wait.
+    /// station-pressure term while their queued tasks wait.
     pub(crate) fn pick_station_site(
         &mut self,
         product: ProductId,

@@ -127,6 +127,10 @@ use crate::stream::{StreamConfig, TaskStream};
 /// it.
 const STRAY_REJOIN: usize = usize::MAX;
 
+/// Minimum ticks between early replans (window-boundary replans are
+/// exempt).
+const MIN_REPLAN_GAP: u64 = 8;
+
 /// Configuration of the MAPF catch-up repair stage.
 #[derive(Debug, Clone)]
 pub struct RepairConfig {
@@ -207,10 +211,9 @@ pub struct SimConfig {
     /// The MAPF catch-up repair stage.
     pub repair: RepairConfig,
     /// Replan early once any agent's lag reaches this (`0`: replan at
-    /// window boundaries only).
+    /// window boundaries only). Early replans keep a fixed minimum gap
+    /// between them; window-boundary replans are exempt.
     pub replan_lag: usize,
-    /// Minimum ticks between early replans (boundary replans are exempt).
-    pub min_replan_gap: u64,
     /// Record the executed trajectories as a [`Plan`] (for the
     /// differential tests; costs O(agents × ticks) memory — and makes
     /// elided ticks cost O(agents) each, since their unchanged states
@@ -231,7 +234,6 @@ impl Default for SimConfig {
             faults: FaultConfig::default(),
             repair: RepairConfig::default(),
             replan_lag: 0,
-            min_replan_gap: 8,
             record: false,
             engine: SimEngine::default(),
         }
@@ -1071,7 +1073,7 @@ impl<'a> Simulation<'a> {
             forced = forced.min(next);
         }
         if self.replan_requested || self.sched.sleep.frozen_over_replan > 0 {
-            let gap = (self.last_replan + self.config.min_replan_gap).saturating_sub(1);
+            let gap = self.last_replan + MIN_REPLAN_GAP - 1;
             forced = forced.min(gap);
         }
         if let Some(t) = self.sched.queue.next_event(self.t, forced) {
@@ -1255,7 +1257,7 @@ impl<'a> Simulation<'a> {
         // makes quiet stretches O(dirty work) and lets them elide.
         if let Some(auc) = self.auction.as_deref_mut() {
             if !auc.skippable(&self.sched) {
-                let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+                let roads = Roads::new(t, graph, &self.floor, self.config.assign.route_cap);
                 auc.assign(
                     roads,
                     &self.fleet,
@@ -1321,7 +1323,7 @@ impl<'a> Simulation<'a> {
             if t < self.fleet.stall_until[a] {
                 // Frozen: no cursor/repair/mission progress, no events.
             } else if let Some(auc) = self.auction.as_deref_mut() {
-                let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+                let roads = Roads::new(t, graph, &self.floor, self.config.assign.route_cap);
                 auc.step_mission(
                     a,
                     old,
@@ -1376,7 +1378,7 @@ impl<'a> Simulation<'a> {
         // 8b. Deferred yield-nudges, after the bulk accounting so waking
         // a sleeping blocker cannot skew it.
         if let Some(auc) = self.auction.as_deref_mut() {
-            let roads = Roads::new(t, graph, &self.floor, &self.config.assign);
+            let roads = Roads::new(t, graph, &self.floor, self.config.assign.route_cap);
             auc.apply_nudges(
                 roads,
                 &self.fleet,
@@ -1395,7 +1397,7 @@ impl<'a> Simulation<'a> {
         let early = (self.replan_requested
             || (self.config.replan_lag > 0 && max_lag as usize >= self.config.replan_lag)
             || self.sched.sleep.frozen_over_replan > 0)
-            && self.t - self.last_replan >= self.config.min_replan_gap;
+            && self.t - self.last_replan >= MIN_REPLAN_GAP;
         if boundary || early {
             self.replan()?;
         } else {

@@ -8,9 +8,7 @@ use std::collections::VecDeque;
 
 use wsp_model::{FloorplanGraph, LocationMatrix, VertexId, NO_INDEX};
 
-use crate::assign::{
-    select_agent, AgentBid, AssignConfig, AuctionState, Leg, LegAction, Mission, MissionKind,
-};
+use crate::assign::{select_agent, AgentBid, AuctionState, Leg, LegAction, Mission, MissionKind};
 use crate::engine::{Fleet, Floor, Scheduler, Window};
 use crate::report::SimCounters;
 use crate::stream::Task;
@@ -19,27 +17,42 @@ use crate::stream::Task;
 /// rebalance slate rebuilds the same ladder from cached anchor fields).
 const PROBE_CAPS: [u32; 4] = [32, 128, 512, u32::MAX];
 
+/// Most tasks batched onto one agent per assignment: the first task plus
+/// up to `BATCH - 1` queued same-product followers.
+const BATCH: usize = 4;
+
+/// Idle agents the rebalancer stages near each station.
+const REBALANCE_PER_STATION: u32 = 2;
+
+/// Station-pressure weight: each already-assigned undelivered task at a
+/// station adds this many BFS steps to its bid, spreading load.
+const STATION_BIAS: u32 = 8;
+
+/// Ticks a mission agent stays blocked before nudging a parked blocker
+/// into a drift walk.
+const YIELD_AFTER: u32 = 2;
+
+/// Ticks blocked before a task mission reroutes around the contested cell
+/// (repositioning missions give up and park instead).
+const REROUTE_AFTER: u32 = 8;
+
 /// What the mission phases read of the world at tick `t`.
 #[derive(Clone, Copy)]
 pub(crate) struct Roads<'w> {
     pub t: u64,
     pub graph: &'w FloorplanGraph,
     pub floor: &'w Floor,
-    pub cfg: &'w AssignConfig,
+    /// [`AssignConfig::route_cap`](crate::AssignConfig::route_cap).
+    pub route_cap: u32,
 }
 
 impl<'w> Roads<'w> {
-    pub(crate) fn new(
-        t: u64,
-        graph: &'w FloorplanGraph,
-        floor: &'w Floor,
-        cfg: &'w AssignConfig,
-    ) -> Self {
+    pub(crate) fn new(t: u64, graph: &'w FloorplanGraph, floor: &'w Floor, route_cap: u32) -> Self {
         Roads {
             t,
             graph,
             floor,
-            cfg,
+            route_cap,
         }
     }
 }
@@ -54,8 +67,8 @@ enum NoRoute {
 impl AuctionState {
     /// The one route-install helper for task missions: the field route
     /// `from → to` around closed cells (and `ban`), refused when it is
-    /// longer than [`AssignConfig::route_cap`]. Staging routes are
-    /// uncapped and call [`route`](Self::route) directly.
+    /// longer than `route_cap`. Staging routes are uncapped and call
+    /// [`route`](Self::route) directly.
     fn install_route(
         &mut self,
         roads: Roads<'_>,
@@ -66,7 +79,7 @@ impl AuctionState {
         let closed = roads.floor.closed(roads.t);
         match self.route(roads.graph, from, to, ban, closed) {
             None => Err(NoRoute::Unreachable),
-            Some(path) if path.len() > roads.cfg.route_cap as usize => Err(NoRoute::OverCap),
+            Some(path) if path.len() > roads.route_cap as usize => Err(NoRoute::OverCap),
             Some(path) => Ok(path),
         }
     }
@@ -130,7 +143,7 @@ impl AuctionState {
         win: &mut Window,
         counters: &mut SimCounters,
     ) {
-        let (t, cfg, graph) = (roads.t, roads.cfg, roads.graph);
+        let (t, graph) = (roads.t, roads.graph);
         let dark = |q: usize| roads.floor.dark(q, t);
         self.dirty = false;
         let mut rotations = 0usize;
@@ -142,8 +155,7 @@ impl AuctionState {
             let Some(&task) = self.pending.front() else {
                 break;
             };
-            let Some((q, site)) = self.pick_station_site(task.product, cfg.station_bias, dark)
-            else {
+            let Some((q, site)) = self.pick_station_site(task.product, STATION_BIAS, dark) else {
                 // No stocked, field-reachable site right now: rotate the
                 // task to the back and look at the next one.
                 self.pending.rotate_left(1);
@@ -202,18 +214,17 @@ impl AuctionState {
 
             // Commit, batching queued same-product tasks onto this agent.
             self.pending.pop_front();
-            let mut legs = VecDeque::with_capacity(2 * cfg.batch.max(1));
+            let mut legs = VecDeque::with_capacity(2 * BATCH);
             self.commit_task(&mut legs, task, q, site, counters);
             let mut q_prev = q;
-            let mut extras = cfg.batch.saturating_sub(1);
+            let mut extras = BATCH - 1;
             let mut i = 0;
             while extras > 0 && i < self.pending.len() {
                 if self.pending[i].product != task.product {
                     i += 1;
                     continue;
                 }
-                let Some((q2, s2)) =
-                    self.pick_followup(task.product, q_prev, cfg.station_bias, dark)
+                let Some((q2, s2)) = self.pick_followup(task.product, q_prev, STATION_BIAS, dark)
                 else {
                     break;
                 };
@@ -277,8 +288,7 @@ impl AuctionState {
         counters: &mut SimCounters,
     ) -> bool {
         let t = roads.t;
-        let per = roads.cfg.rebalance_per_station as u32;
-        if per == 0 || self.stations.is_empty() {
+        if self.stations.is_empty() {
             return false;
         }
         // The pool: idle, unstaged, free agents in ascending order. It
@@ -303,7 +313,7 @@ impl AuctionState {
                 // A dark station's backlog redistributes instead.
                 continue;
             }
-            while self.staged[q as usize] < per {
+            while self.staged[q as usize] < REBALANCE_PER_STATION {
                 if pool.is_empty() {
                     break 'stations;
                 }
@@ -367,7 +377,7 @@ impl AuctionState {
         let Some(mut m) = self.missions[a].take() else {
             return;
         };
-        let (t, cfg) = (roads.t, roads.cfg);
+        let t = roads.t;
         let pos = fleet.pos[a];
 
         // 1. Pending carry action fires on this transition.
@@ -407,15 +417,15 @@ impl AuctionState {
             m.blocked += 1;
             let want = m.path[m.at + 1];
             let b = roads.floor.occupant[want.index()];
-            if m.blocked >= cfg.yield_after && b != NO_INDEX {
+            if m.blocked >= YIELD_AFTER && b != NO_INDEX {
                 // Deferred to phase 8b; idle blockers drift clear, moving
                 // or stalled ones are filtered at application time.
                 self.nudge_buf.push(b);
             }
-            if m.blocked >= cfg.reroute_after {
+            if m.blocked >= REROUTE_AFTER {
                 match m.kind {
                     MissionKind::Task => {
-                        if m.blocked % cfg.reroute_after == 0 {
+                        if m.blocked % REROUTE_AFTER == 0 {
                             let goal = *m.path.last().expect("non-empty route");
                             match self.install_route(roads, pos, goal, Some(want)) {
                                 Ok(path) => m.set_route(path),
