@@ -1,8 +1,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use wsp_flow::{synthesize_flow_relaxed, FlowEngine, FlowSynthesisOptions};
 
-/// Ablations called out in DESIGN.md: paper (per-product) vs layered
-/// encoding size/runtime on the sorting center.
+/// Encoding ablation: paper (per-product) vs layered encoding
+/// size/runtime on the sorting center.
 fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_encoding");
     group.sample_size(10);

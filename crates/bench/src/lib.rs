@@ -55,7 +55,7 @@ impl std::fmt::Display for RowResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RowResult::Solved { seconds, detail } => write!(f, "{seconds:8.3}s  {detail}"),
-            RowResult::Infeasible => write!(f, "infeasible (capacity bound; see EXPERIMENTS.md)"),
+            RowResult::Infeasible => write!(f, "infeasible (Property 4.1 capacity bound)"),
             RowResult::Failed(e) => write!(f, "failed: {e}"),
         }
     }

@@ -1,5 +1,4 @@
-//! Flow-to-cycle decomposition via the commodity-switching graph
-//! (DESIGN.md §3.3).
+//! Flow-to-cycle decomposition via the commodity-switching graph.
 //!
 //! The paper (§IV-E, Properties 4.2/4.3) pairs loaded paths with unloaded
 //! paths through a bijection on endpoints; this module uses a constructive

@@ -366,7 +366,8 @@ impl AgentFlowSet {
     }
 
     /// Decomposes the flow set into an agent cycle set via the
-    /// commodity-switching graph (§IV-E, strengthened per DESIGN.md §3.3).
+    /// commodity-switching graph (§IV-E, strengthened so that no pairing
+    /// of loaded with unloaded paths is needed).
     ///
     /// # Errors
     ///

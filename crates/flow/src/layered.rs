@@ -1,6 +1,6 @@
 //! The two-layer (loaded/unloaded) circulation engine — the default
-//! synthesis path, provably workload-equivalent to the paper encoding with
-//! ~|ρ|× fewer variables (DESIGN.md §3.2).
+//! synthesis path, workload-equivalent to the paper encoding with ~|ρ|×
+//! fewer variables.
 //!
 //! Key observation: after pickup, product identity never constrains
 //! routing — any station accepts any product and entry capacities count
@@ -13,23 +13,30 @@
 use std::collections::BTreeMap;
 
 use wsp_contracts::{AgContract, Predicate, VarRegistry};
-use wsp_lp::{solve_ilp_with_scratch, IlpOutcome, IlpScratch, LinExpr, Rational, Relation, VarId};
+use wsp_lp::{LinExpr, Rational, Relation, VarId};
 use wsp_model::{ProductId, Warehouse, Workload};
 use wsp_traffic::{ComponentId, ComponentKind, TrafficSystem};
 
 use crate::contracts::units_at;
 use crate::flowset::{AgentFlowSet, Commodity};
-use crate::{FlowError, FlowSynthesisOptions};
+use crate::FlowError;
 
-struct LayeredVars {
-    registry: VarRegistry,
+/// The layered encoding's variables: `L_{i,j}`/`U_{i,j}` per arc,
+/// `P_{i,k}` per stocked (shelving row, product), `D_i` per station queue.
+pub(crate) struct LayeredVars {
+    pub(crate) registry: VarRegistry,
     loaded: BTreeMap<(ComponentId, ComponentId), VarId>,
     unloaded: BTreeMap<(ComponentId, ComponentId), VarId>,
     pickups: BTreeMap<(ComponentId, ProductId), VarId>,
     dropoffs: BTreeMap<ComponentId, VarId>,
 }
 
-fn build_vars(warehouse: &Warehouse, traffic: &TrafficSystem, workload: &Workload) -> LayeredVars {
+/// Allocates all layered variables for a traffic system and workload.
+pub(crate) fn build_vars(
+    warehouse: &Warehouse,
+    traffic: &TrafficSystem,
+    workload: &Workload,
+) -> LayeredVars {
     let mut registry = VarRegistry::new();
     let mut loaded = BTreeMap::new();
     let mut unloaded = BTreeMap::new();
@@ -66,7 +73,10 @@ fn build_vars(warehouse: &Warehouse, traffic: &TrafficSystem, workload: &Workloa
     }
 }
 
-fn layered_component_contracts(
+/// The layered component contract of every component: the entry-capacity
+/// assumption over both layers; per-layer conservation, stock-rate and
+/// pickup-coupling guarantees.
+pub(crate) fn component_contracts(
     warehouse: &Warehouse,
     traffic: &TrafficSystem,
     vars: &LayeredVars,
@@ -189,7 +199,13 @@ fn layered_component_contracts(
     contracts
 }
 
-fn layered_workload_contract(workload: &Workload, vars: &LayeredVars, periods: u64) -> AgContract {
+/// The layered workload contract: each product's total pickup rate covers
+/// its demand rate.
+pub(crate) fn workload_contract(
+    workload: &Workload,
+    vars: &LayeredVars,
+    periods: u64,
+) -> AgContract {
     let mut guarantee = Predicate::top();
     for (p, demand) in workload.iter() {
         let mut expr = LinExpr::new();
@@ -210,82 +226,20 @@ fn layered_workload_contract(workload: &Workload, vars: &LayeredVars, periods: u
     AgContract::new("workload", Predicate::top(), guarantee)
 }
 
-/// [`synthesize_layered_with_scratch`] on a fresh scratch.
-#[cfg(test)]
-pub(crate) fn synthesize_layered(
-    warehouse: &Warehouse,
-    traffic: &TrafficSystem,
-    workload: &Workload,
-    t_limit: usize,
-    options: &FlowSynthesisOptions,
-) -> Result<AgentFlowSet, FlowError> {
-    synthesize_layered_with_scratch(
-        warehouse,
-        traffic,
-        workload,
-        t_limit,
-        options,
-        &mut IlpScratch::new(),
-    )
-}
-
-/// The [`FlowEngine::LayeredIlp`](crate::FlowEngine::LayeredIlp)
-/// synthesizer: solves the two-layer circulation encoding on the caller's
-/// scratch (for identical constraint skeletons, warm from the converged
-/// basis) and decodes it back to per-product flows.
+/// Decodes a solution back to per-product flows: unloaded flow copies
+/// over, loaded flow is labelled with products by walking from each
+/// pickup.
 ///
 /// # Errors
 ///
-/// See [`synthesize_flow`](crate::synthesize_flow).
-pub(crate) fn synthesize_layered_with_scratch(
-    warehouse: &Warehouse,
+/// [`FlowError::DecompositionStuck`] when a loaded walk finds no way on,
+/// [`FlowError::InvalidFlowSet`] when loaded flow is left over.
+pub(crate) fn decode(
+    vars: &LayeredVars,
     traffic: &TrafficSystem,
-    workload: &Workload,
-    t_limit: usize,
-    options: &FlowSynthesisOptions,
-    scratch: &mut IlpScratch,
-) -> Result<AgentFlowSet, FlowError> {
-    let (cycle_time, periods) = crate::horizon(traffic, t_limit)?;
-
-    let vars = build_vars(warehouse, traffic, workload);
-    let components =
-        layered_component_contracts(warehouse, traffic, &vars, periods, !options.skip_capacity);
-    let system_contract = AgContract::compose_all("traffic-system", components.iter());
-    let full = system_contract.conjoin(&layered_workload_contract(workload, &vars, periods));
-
-    let problem = full.synthesis_problem(&vars.registry, total_flow(&vars));
-    let problem_dims = (problem.var_count(), problem.constraint_count());
-
-    let outcome = solve_ilp_with_scratch(&problem, &options.ilp, scratch).map_err(|e| match e {
-        wsp_lp::IlpError::Lp(lp) => FlowError::Solver { source: lp },
-        other => FlowError::SolverLimit { source: other },
-    })?;
-    let solution = match outcome {
-        IlpOutcome::Optimal(s) | IlpOutcome::Feasible(s) => s,
-        IlpOutcome::Infeasible => {
-            return Err(FlowError::Infeasible {
-                detail: format!(
-                    "layered encoding: {} demanded units on {} components within {} periods",
-                    workload.total_units(),
-                    traffic.component_count(),
-                    periods
-                ),
-            })
-        }
-        IlpOutcome::Unbounded => {
-            return Err(FlowError::Infeasible {
-                detail: "unbounded flow relaxation (encoder bug)".into(),
-            })
-        }
-    };
-
-    let value = |v: VarId| -> u64 {
-        let q = solution.values[v.index()];
-        debug_assert!(q.is_integer() && !q.is_negative());
-        q.numer().max(0) as u64
-    };
-
-    // Decode: label loaded flow with products by walking from each pickup.
+    value: impl Fn(VarId) -> u64,
+    flow: &mut AgentFlowSet,
+) -> Result<(), FlowError> {
     let mut rem_loaded: BTreeMap<(ComponentId, ComponentId), u64> = vars
         .loaded
         .iter()
@@ -293,9 +247,6 @@ pub(crate) fn synthesize_layered_with_scratch(
         .collect();
     let mut rem_drop: BTreeMap<ComponentId, u64> =
         vars.dropoffs.iter().map(|(&c, &v)| (c, value(v))).collect();
-
-    let mut flow = AgentFlowSet::new(cycle_time, periods);
-    flow.set_problem_size(problem_dims.0, problem_dims.1);
     for (&(i, j), &v) in &vars.unloaded {
         flow.add_edge_flow(i, j, Commodity::Unloaded, value(v));
     }
@@ -352,37 +303,11 @@ pub(crate) fn synthesize_layered_with_scratch(
             violations: vec!["leftover loaded circulation after decoding".into()],
         });
     }
-
-    let violations = flow.validate(warehouse, traffic, workload);
-    if !violations.is_empty() {
-        return Err(FlowError::InvalidFlowSet { violations });
-    }
-    Ok(flow)
+    Ok(())
 }
 
-/// Builds the layered encoding with continuous variables (for the
-/// real-valued mode of [`crate::synthesize_flow_relaxed`]).
-pub(crate) fn relaxed_system(
-    warehouse: &Warehouse,
-    traffic: &TrafficSystem,
-    workload: &Workload,
-    periods: u64,
-    enforce_capacity: bool,
-) -> (VarRegistry, AgContract, LinExpr) {
-    let vars = build_vars(warehouse, traffic, workload);
-    let components =
-        layered_component_contracts(warehouse, traffic, &vars, periods, enforce_capacity);
-    let system = AgContract::compose_all("traffic-system", components.iter());
-    let full = system.conjoin(&layered_workload_contract(workload, &vars, periods));
-    let objective = total_flow(&vars);
-    (
-        crate::relaxed::relax_registry(&vars.registry),
-        full,
-        objective,
-    )
-}
-
-fn total_flow(vars: &LayeredVars) -> LinExpr {
+/// The minimization objective: total edge flow over both layers.
+pub(crate) fn total_flow(vars: &LayeredVars) -> LinExpr {
     let mut obj = LinExpr::new();
     for &v in vars.loaded.values().chain(vars.unloaded.values()) {
         obj.add_term(v, Rational::ONE);
@@ -393,7 +318,7 @@ fn total_flow(vars: &LayeredVars) -> LinExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize_paper, FlowSynthesisOptions};
+    use crate::{synthesize_flow, FlowEngine, FlowSynthesisOptions};
     use wsp_model::{Direction, GridMap, ProductCatalog};
     use wsp_traffic::design_perimeter_loop;
 
@@ -413,7 +338,7 @@ mod tests {
         let (w, ts) = tiny(100);
         let workload = Workload::from_demands(vec![10]);
         let flow =
-            synthesize_layered(&w, &ts, &workload, 600, &FlowSynthesisOptions::default()).unwrap();
+            synthesize_flow(&w, &ts, &workload, 600, &FlowSynthesisOptions::default()).unwrap();
         assert!(flow.total_deliveries() >= 10);
         assert!(flow.validate(&w, &ts, &workload).is_empty());
     }
@@ -424,8 +349,12 @@ mod tests {
         for demand in [5u64, 20, 40] {
             let workload = Workload::from_demands(vec![demand]);
             let opts = FlowSynthesisOptions::default();
-            let layered = synthesize_layered(&w, &ts, &workload, 600, &opts).unwrap();
-            let paper = synthesize_paper(&w, &ts, &workload, 600, &opts).unwrap();
+            let layered = synthesize_flow(&w, &ts, &workload, 600, &opts).unwrap();
+            let paper_opts = FlowSynthesisOptions {
+                engine: FlowEngine::PaperIlp,
+                ..opts.clone()
+            };
+            let paper = synthesize_flow(&w, &ts, &workload, 600, &paper_opts).unwrap();
             // Both minimize total edge flow; the encodings are equivalent,
             // so the optima must match exactly.
             assert_eq!(
@@ -444,8 +373,8 @@ mod tests {
     fn infeasible_demand_detected() {
         let (w, ts) = tiny(2);
         let workload = Workload::from_demands(vec![500]);
-        let err = synthesize_layered(&w, &ts, &workload, 600, &FlowSynthesisOptions::default())
-            .unwrap_err();
+        let err =
+            synthesize_flow(&w, &ts, &workload, 600, &FlowSynthesisOptions::default()).unwrap_err();
         assert!(matches!(err, FlowError::Infeasible { .. }));
     }
 
@@ -453,8 +382,8 @@ mod tests {
     fn horizon_too_short_rejected() {
         let (w, ts) = tiny(10);
         let workload = Workload::from_demands(vec![1]);
-        let err = synthesize_layered(&w, &ts, &workload, 1, &FlowSynthesisOptions::default())
-            .unwrap_err();
+        let err =
+            synthesize_flow(&w, &ts, &workload, 1, &FlowSynthesisOptions::default()).unwrap_err();
         assert!(matches!(err, FlowError::HorizonTooShort { .. }));
     }
 
@@ -463,7 +392,7 @@ mod tests {
         let (w, ts) = tiny(100);
         let workload = Workload::from_demands(vec![30]);
         let flow =
-            synthesize_layered(&w, &ts, &workload, 600, &FlowSynthesisOptions::default()).unwrap();
+            synthesize_flow(&w, &ts, &workload, 600, &FlowSynthesisOptions::default()).unwrap();
         let cycles = flow.decompose().unwrap();
         for c in cycles.cycles() {
             assert_eq!(c.carry_inconsistency(), None);

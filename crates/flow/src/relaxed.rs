@@ -3,22 +3,21 @@
 //! §IV-D's closing paragraph states the contracts are compiled to "a
 //! formula in propositional logic augmented with arithmetic constraints
 //! over the *reals*" and solved with Z3 — i.e. the published Table I
-//! runtimes are for real-valued agent flows. (Real-valued flows also
-//! explain the feasibility of the Fulfillment 2 instances, whose integer
-//! versions are provably over the single station bay's per-period
-//! throughput; see DESIGN.md.) This module reproduces that configuration:
-//! the same contract systems with continuous variables, solved by the LP
-//! kernel.
+//! runtimes are for real-valued agent flows. This module reproduces that
+//! configuration: the same compiled encoding that
+//! [`synthesize_flow`](crate::synthesize_flow) solves as an ILP, solved
+//! here as an LP. With the Property 4.1 entry-capacity assumption skipped
+//! as well, the Fulfillment 2 workloads become feasible, as in the paper
+//! (`tests/pipeline.rs` pins both sides of that boundary).
 //!
 //! Real-valued flow sets cannot be decomposed into discrete agent cycles;
 //! use the default integer mode for end-to-end planning.
 
-use wsp_contracts::{AgContract, Predicate, VarRegistry};
-use wsp_lp::{solve_lp, BoundOverrides, LinExpr, LpOutcome, Rational, Relation};
+use wsp_lp::{solve_lp, BoundOverrides, LpOutcome};
 use wsp_model::{Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
 
-use crate::{FlowEngine, FlowError, FlowSynthesisOptions};
+use crate::{Encoding, FlowError, FlowSynthesisOptions};
 
 /// Summary of a relaxed (real-valued) synthesis run.
 #[derive(Debug, Clone)]
@@ -48,34 +47,20 @@ pub fn synthesize_flow_relaxed(
     t_limit: usize,
     options: &FlowSynthesisOptions,
 ) -> Result<RelaxedFlowSummary, FlowError> {
-    let (cycle_time, periods) = crate::horizon(traffic, t_limit)?;
-
-    let (registry, contract, objective) = match options.engine {
-        FlowEngine::LayeredIlp => crate::layered::relaxed_system(
-            warehouse,
-            traffic,
-            workload,
-            periods,
-            !options.skip_capacity,
-        ),
-        FlowEngine::PaperIlp => paper_relaxed_parts(
-            warehouse,
-            traffic,
-            workload,
-            periods,
-            !options.skip_capacity,
-        ),
-    };
-    let problem = contract.synthesis_problem(&registry, objective);
-    let (variables, constraints) = (problem.var_count(), problem.constraint_count());
-
+    let Encoding {
+        cycle_time,
+        periods,
+        problem,
+        ..
+    } = Encoding::compile(warehouse, traffic, workload, t_limit, options)?;
+    // The LP kernel never reads the integrality flags.
     match solve_lp::<f64>(&problem, &BoundOverrides::none())? {
         LpOutcome::Optimal(sol) => Ok(RelaxedFlowSummary {
             objective: sol.objective,
             cycle_time,
             periods,
-            variables,
-            constraints,
+            variables: problem.var_count(),
+            constraints: problem.constraint_count(),
         }),
         LpOutcome::Infeasible => Err(FlowError::Infeasible {
             detail: format!(
@@ -90,46 +75,10 @@ pub fn synthesize_flow_relaxed(
     }
 }
 
-/// Builds the paper (per-product) encoding with continuous variables.
-pub(crate) fn paper_relaxed_parts(
-    warehouse: &Warehouse,
-    traffic: &TrafficSystem,
-    workload: &Workload,
-    periods: u64,
-    enforce_capacity: bool,
-) -> (VarRegistry, AgContract, LinExpr) {
-    // Reuse the integer builder, then rebuild a continuous registry with
-    // the same layout: simplest is to build contracts over a registry whose
-    // variables are continuous. FlowVars always allocates integers, so we
-    // lower them here by rebuilding the registry var-for-var.
-    let vars = crate::contracts::FlowVars::build(warehouse, traffic, workload);
-    let components =
-        crate::contracts::component_contracts(warehouse, traffic, &vars, periods, enforce_capacity);
-    let system = AgContract::compose_all("traffic-system", components.iter());
-    let full = system.conjoin(&crate::contracts::workload_contract(
-        workload, &vars, periods,
-    ));
-    let relaxed_registry = relax_registry(vars.registry());
-    (relaxed_registry, full, vars.total_flow_objective())
-}
-
-/// Copies a registry with every variable made continuous (the relaxation).
-pub(crate) fn relax_registry(registry: &VarRegistry) -> VarRegistry {
-    let mut out = VarRegistry::new();
-    for i in 0..registry.len() {
-        let name = registry.name(wsp_lp::VarId(i as u32)).to_string();
-        out.fresh(name);
-    }
-    out
-}
-
-/// Keeps the unused-predicate import honest for rustdoc links.
-#[allow(unused)]
-fn _doc(_: &Predicate, _: Rational, _: Relation) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowEngine;
     use wsp_model::{Direction, GridMap, ProductCatalog, ProductId};
     use wsp_traffic::design_perimeter_loop;
 
@@ -184,6 +133,51 @@ mod tests {
         );
         // The layered encoding is smaller.
         assert!(layered.variables <= paper.variables);
+    }
+
+    #[test]
+    fn integer_and_relaxed_solves_share_one_problem() {
+        let (w, ts) = tiny();
+        let workload = Workload::from_demands(vec![10]);
+        for engine in [FlowEngine::PaperIlp, FlowEngine::LayeredIlp] {
+            for skip_capacity in [false, true] {
+                let opts = FlowSynthesisOptions {
+                    engine,
+                    skip_capacity,
+                    ..FlowSynthesisOptions::default()
+                };
+                let relaxed = synthesize_flow_relaxed(&w, &ts, &workload, 600, &opts).unwrap();
+                let integer = crate::synthesize_flow(&w, &ts, &workload, 600, &opts).unwrap();
+                assert_eq!(
+                    (relaxed.variables, relaxed.constraints),
+                    integer.problem_size(),
+                    "{engine:?}, skip_capacity {skip_capacity}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infeasible_details_name_the_encoding() {
+        let (w, ts) = tiny();
+        let workload = Workload::from_demands(vec![1_000_000]);
+        let detail = |err: FlowError| match err {
+            FlowError::Infeasible { detail } => detail,
+            other => panic!("expected Infeasible, got {other}"),
+        };
+        for (engine, prefix) in [
+            (FlowEngine::PaperIlp, "paper encoding: "),
+            (FlowEngine::LayeredIlp, "layered encoding: "),
+        ] {
+            let opts = FlowSynthesisOptions {
+                engine,
+                ..FlowSynthesisOptions::default()
+            };
+            let err = crate::synthesize_flow(&w, &ts, &workload, 600, &opts).unwrap_err();
+            assert!(detail(err).starts_with(prefix), "{engine:?}");
+            let err = synthesize_flow_relaxed(&w, &ts, &workload, 600, &opts).unwrap_err();
+            assert!(detail(err).starts_with("relaxed encoding: "), "{engine:?}");
+        }
     }
 
     #[test]

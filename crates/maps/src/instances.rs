@@ -4,7 +4,7 @@
 //! All three use the [`SnakeLayout`](crate::SnakeLayout) designer (the
 //! topology visible in the paper's Fig. 4); stations are spread across the
 //! ring so agents can deliver several times per revolution (see the
-//! throughput analysis in DESIGN.md).
+//! throughput analysis atop `snake.rs`).
 
 use wsp_model::{
     CellKind, Coord, Direction, GridMap, ProductCatalog, ProductId, Warehouse, Workload,
@@ -56,8 +56,9 @@ impl MapInstance {
 }
 
 /// Builds "Fulfillment 1": the real Kiva-style map of \[10\] — 560 shelves,
-/// 4 station bays, 55 products, 47×23 = 1081 cells (paper: 1071; see
-/// EXPERIMENTS.md for the deviation analysis).
+/// 4 station bays, 55 products, 47×23 = 1081 cells (paper: 1071; the
+/// extra cells are the larger station-queue zone Property 4.1 capacity
+/// needs).
 ///
 /// # Errors
 ///
@@ -78,7 +79,8 @@ pub fn fulfillment_center_1() -> Result<MapInstance, Box<dyn std::error::Error>>
 }
 
 /// Builds "Fulfillment 2": the synthetic map based on \[10\] — 240 shelves,
-/// 1 station bay (two service cells; see DESIGN.md §station throughput),
+/// 1 station bay (two service cells spread along the ring, so an agent
+/// can deliver more than once per revolution),
 /// 120 products, 61×13 = 793 cells (paper-exact).
 ///
 /// # Errors
@@ -168,8 +170,8 @@ fn build_fulfillment(p: FulfillmentParams) -> Result<MapInstance, Box<dyn std::e
 }
 
 /// Builds the sorting center of \[11\]: 29×14 = 406 cells (paper-exact),
-/// 36 chutes (matching Table I's 36 unique products; the §V prose says 32 —
-/// see EXPERIMENTS.md), 4 bins.
+/// 36 chutes (matching Table I's 36 unique products; the §V prose says 32,
+/// and this reproduction follows the table), 4 bins.
 ///
 /// Chute `i` is modeled as a shelf holding an effectively unlimited stock
 /// of product `ρ_i`; bins are the station bays (§V's reduction, with

@@ -2,9 +2,9 @@
 //! aisle, chopped into near-uniform components — the layout visible in the
 //! paper's Fig. 4.
 //!
-//! Throughput analysis (see DESIGN.md): under Property 4.1 a component of
-//! length `ℓ` admits `⌊ℓ/2⌋` agents per cycle period `t_c = 2m`, so a
-//! chain's steady-state throughput is `min ℓ / (4m)` agents per timestep —
+//! Throughput analysis: under Property 4.1 a component of length `ℓ`
+//! admits `⌊ℓ/2⌋` agents per cycle period `t_c = 2m`, so a chain's
+//! steady-state throughput is `min ℓ / (4m)` agents per timestep —
 //! maximized when all components share one length (`ℓ = m` → 1/4 per
 //! step). The snake makes every component the same length, and spreading
 //! the station cells across different components lets one agent deliver

@@ -114,7 +114,6 @@ pub struct WindowOutcome {
 /// entry.
 #[derive(Debug, Default)]
 pub struct RealizeScratch {
-    residents_init: Vec<Vec<(usize, usize)>>,
     agents: Vec<AgentRt>,
     stock: wsp_model::LocationMatrix,
     occupant: Vec<u32>,
@@ -147,12 +146,8 @@ impl RealizeScratch {
         self.occupant.resize(n_vertices, NO_AGENT);
         self.claimed.resize(n_vertices, false);
         self.vacated.resize(n_vertices, false);
-        if self.residents_init.len() < n_components {
-            self.residents_init.resize_with(n_components, Vec::new);
+        if self.by_component.len() < n_components {
             self.by_component.resize_with(n_components, Vec::new);
-        }
-        for list in &mut self.residents_init[..n_components] {
-            list.clear();
         }
         self.agents.clear();
         self.moves.clear();
@@ -202,45 +197,14 @@ pub fn realize_with_scratch(
     scratch: &mut RealizeScratch,
 ) -> Result<RealizeOutcome, RealizeError> {
     validate_cycles(traffic, cycles)?;
-
-    let n_products = warehouse.catalog().len();
-    scratch.prepare(warehouse.graph().vertex_count(), traffic.component_count());
-
-    // ---- Initial placement: entry-side cells of each component. ----
-    // Residents per component, as (cycle, step) pairs, in a dense table
-    // indexed by component id (ids were validated above).
-    for (ci, cycle) in cycles.cycles().iter().enumerate() {
-        for (si, step) in cycle.steps().iter().enumerate() {
-            scratch.residents_init[step.component.index()].push((ci, si));
-        }
-    }
-
-    scratch.agents.reserve(cycles.total_agents());
-    let mut plan = Plan::new();
-    for comp in traffic.components() {
-        let list = &scratch.residents_init[comp.id().index()];
-        for (j, &(ci, si)) in list.iter().enumerate() {
-            // Capacity was validated, so j < |Cᵢ| always holds.
-            let pos = comp.path()[j];
-            scratch.agents.push(AgentRt {
-                cycle: ci,
-                step: si,
-                pos,
-                path_off: j as u32,
-                advance_t: -1,
-                carry: None,
-                stray: false,
-            });
-            plan.add_agent(AgentState::idle(pos));
-        }
-    }
-    let n_agents = scratch.agents.len();
+    let states = place(traffic, cycles);
+    let mut plan = load_snapshots(warehouse, traffic, cycles, &states, scratch);
 
     // Remaining stock ledger for pickup accounting (`clone_from` reuses the
     // ledger's nodes across calls).
     let mut stock = std::mem::take(&mut scratch.stock);
     stock.clone_from(warehouse.location_matrix());
-    let mut delivered = vec![0u64; n_products];
+    let mut delivered = vec![0u64; warehouse.catalog().len()];
     let run = run_ticks(
         warehouse,
         traffic,
@@ -259,7 +223,7 @@ pub fn realize_with_scratch(
         plan,
         delivered,
         timesteps: run.executed,
-        agents: n_agents,
+        agents: states.len(),
         pickup_misses: run.pickup_misses,
         missed_advances: run.missed_advances,
     })
@@ -278,6 +242,13 @@ pub fn initial_snapshots(
     cycles: &AgentCycleSet,
 ) -> Result<Vec<AgentSnapshot>, RealizeError> {
     validate_cycles(traffic, cycles)?;
+    Ok(place(traffic, cycles))
+}
+
+/// The placement behind [`initial_snapshots`] for a validated cycle set:
+/// each component's residents, in (cycle, step) order, fill its path from
+/// the entry (capacity was validated, so they fit).
+fn place(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Vec<AgentSnapshot> {
     let mut residents: Vec<Vec<(usize, usize)>> = vec![Vec::new(); traffic.component_count()];
     for (ci, cycle) in cycles.cycles().iter().enumerate() {
         for (si, step) in cycle.steps().iter().enumerate() {
@@ -297,7 +268,7 @@ pub fn initial_snapshots(
             });
         }
     }
-    Ok(snapshots)
+    snapshots
 }
 
 /// Realizes one rolling-horizon window of exactly `window` ticks starting
@@ -356,32 +327,9 @@ pub fn realize_window_with_scratch(
 ) -> Result<WindowOutcome, RealizeError> {
     validate_cycles(traffic, cycles)?;
     validate_snapshots(warehouse, cycles, states)?;
+    let mut plan = load_snapshots(warehouse, traffic, cycles, states, scratch);
 
-    let n_products = warehouse.catalog().len();
-    scratch.prepare(warehouse.graph().vertex_count(), traffic.component_count());
-
-    let mut plan = Plan::new();
-    for s in states {
-        let comp = cycles.cycles()[s.cycle].steps()[s.step].component;
-        // O(1) stray detection + path offset via the dense locate table
-        // (components are disjoint, so owning component ⇒ on its path).
-        let located = traffic.locate(s.pos).filter(|&(owner, _)| owner == comp);
-        scratch.agents.push(AgentRt {
-            cycle: s.cycle,
-            step: s.step,
-            pos: s.pos,
-            path_off: located.map_or(0, |(_, off)| off),
-            advance_t: s.advance_t,
-            carry: s.carry,
-            stray: s.detached || located.is_none(),
-        });
-        plan.add_agent(AgentState {
-            at: s.pos,
-            carry: s.carry.map_or(Carry::Empty, Carry::Product),
-        });
-    }
-
-    let mut delivered = vec![0u64; n_products];
+    let mut delivered = vec![0u64; warehouse.catalog().len()];
     let run = run_ticks(
         warehouse,
         traffic,
@@ -419,6 +367,39 @@ pub fn realize_window_with_scratch(
         pickup_misses: run.pickup_misses,
         first_change: scratch.first_change.clone(),
     })
+}
+
+/// Sizes the scratch for this warehouse and loads `states` as its agent
+/// runtimes; returns a plan whose state 0 is their configuration.
+fn load_snapshots(
+    warehouse: &Warehouse,
+    traffic: &TrafficSystem,
+    cycles: &AgentCycleSet,
+    states: &[AgentSnapshot],
+    scratch: &mut RealizeScratch,
+) -> Plan {
+    scratch.prepare(warehouse.graph().vertex_count(), traffic.component_count());
+    let mut plan = Plan::new();
+    for s in states {
+        let comp = cycles.cycles()[s.cycle].steps()[s.step].component;
+        // O(1) stray detection + path offset via the dense locate table
+        // (components are disjoint, so owning component ⇒ on its path).
+        let located = traffic.locate(s.pos).filter(|&(owner, _)| owner == comp);
+        scratch.agents.push(AgentRt {
+            cycle: s.cycle,
+            step: s.step,
+            pos: s.pos,
+            path_off: located.map_or(0, |(_, off)| off),
+            advance_t: s.advance_t,
+            carry: s.carry,
+            stray: s.detached || located.is_none(),
+        });
+        plan.add_agent(AgentState {
+            at: s.pos,
+            carry: s.carry.map_or(Carry::Empty, Carry::Product),
+        });
+    }
+    plan
 }
 
 /// Snapshot well-formedness: right team size, in-range indices, distinct
@@ -509,7 +490,6 @@ fn run_ticks(
     const NO_CHANGE: u32 = u32::MAX;
     let tc = cycles.cycle_time().max(1);
     let RealizeScratch {
-        residents_init: _,
         agents,
         stock: _,
         occupant,

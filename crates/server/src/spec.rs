@@ -366,19 +366,7 @@ impl SimSpec {
         let mut repair = match value.get("repair") {
             None => RepairConfig::default(),
             Some(v) => {
-                check_keys(
-                    v,
-                    "repair",
-                    &[
-                        "enabled",
-                        "lag_threshold",
-                        "slack",
-                        "lookahead",
-                        "cooldown",
-                        "max_batch",
-                        "threads",
-                    ],
-                )?;
+                check_keys(v, "repair", &["enabled", "lag_threshold", "threads"])?;
                 let defaults = RepairConfig::default();
                 RepairConfig {
                     enabled: match v.get("enabled") {
@@ -388,10 +376,6 @@ impl SimSpec {
                             .ok_or_else(|| format!("enabled must be a bool, got {}", b.kind()))?,
                     },
                     lag_threshold: get_usize(v, "lag_threshold", defaults.lag_threshold)?,
-                    slack: get_usize(v, "slack", defaults.slack)?,
-                    lookahead: get_usize(v, "lookahead", defaults.lookahead)?,
-                    cooldown: get_u64(v, "cooldown", defaults.cooldown)?,
-                    max_batch: get_usize(v, "max_batch", defaults.max_batch)?,
                     threads: get_threads(v)?,
                 }
             }
@@ -524,6 +508,10 @@ mod tests {
         assert!(SimSpec::from_json(&parse(r#"{"policy": "greedy"}"#))
             .unwrap_err()
             .contains("policy"));
+        // The catch-up constants are not spec fields.
+        assert!(SimSpec::from_json(&parse(r#"{"repair": {"slack": 6}}"#))
+            .unwrap_err()
+            .contains("slack"));
     }
 
     #[test]

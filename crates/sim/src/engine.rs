@@ -131,6 +131,20 @@ const STRAY_REJOIN: usize = usize::MAX;
 /// exempt).
 const MIN_REPLAN_GAP: u64 = 8;
 
+/// Catch-up rejoin target: the plan cell `lag + SLACK` indices ahead of
+/// the cursor; the detour must arrive within `SLACK` ticks (the schedule
+/// recovered in full).
+const SLACK: usize = 6;
+
+/// Per-agent ticks between repair attempts.
+const REPAIR_COOLDOWN: u64 = 8;
+
+/// Most catch-up searches per tick; when more agents are eligible, the
+/// deepest-lagged (ties: lowest agent index) go first and the rest retry
+/// next tick. Bounds repair cost on convoy pile-ups with thousands of
+/// lagged agents.
+const MAX_BATCH: usize = 16;
+
 /// Configuration of the MAPF catch-up repair stage.
 #[derive(Debug, Clone)]
 pub struct RepairConfig {
@@ -139,21 +153,6 @@ pub struct RepairConfig {
     pub enabled: bool,
     /// Attempt a catch-up once an agent's lag reaches this many ticks.
     pub lag_threshold: usize,
-    /// Rejoin target: the plan cell `lag + slack` indices ahead of the
-    /// cursor; the detour must arrive within `slack` ticks (the schedule
-    /// recovered in full).
-    pub slack: usize,
-    /// How far ahead (ticks) other agents' trajectories are projected
-    /// into the reservation table the catch-up searches plan against (the
-    /// searches themselves are capped at `slack`, the arrival budget).
-    pub lookahead: usize,
-    /// Per-agent ticks between repair attempts.
-    pub cooldown: u64,
-    /// Most catch-up searches per tick; when more agents are eligible,
-    /// the deepest-lagged (ties: lowest agent index) go first and the rest
-    /// retry next tick. Bounds repair cost on convoy pile-ups with
-    /// thousands of lagged agents.
-    pub max_batch: usize,
     /// Worker threads for the A* fan-out (`None`: `WSP_THREADS`, then
     /// available parallelism). Results are byte-identical at any count.
     pub threads: Option<usize>,
@@ -164,10 +163,6 @@ impl Default for RepairConfig {
         RepairConfig {
             enabled: false,
             lag_threshold: 4,
-            slack: 6,
-            lookahead: 96,
-            cooldown: 8,
-            max_batch: 16,
             threads: None,
         }
     }
@@ -879,9 +874,9 @@ impl<'a> Simulation<'a> {
                 cursor: vec![0; agents],
             },
             repairs: RepairScratch {
-                requests: Vec::with_capacity(config.repair.max_batch.max(1)),
+                requests: Vec::with_capacity(MAX_BATCH),
                 is_candidate: vec![false; agents],
-                projection: Vec::with_capacity(config.repair.lookahead + 1),
+                projection: Vec::with_capacity(SLACK + 2),
                 table: ReservationTable::new(n_vertices),
             },
             auction,
@@ -1719,7 +1714,7 @@ impl<'a> Simulation<'a> {
                 continue;
             }
             let cursor = self.win.cursor[a];
-            let rejoin = cursor + lag + cfg.slack;
+            let rejoin = cursor + lag + SLACK;
             if rejoin > self.win.len {
                 continue;
             }
@@ -1736,7 +1731,7 @@ impl<'a> Simulation<'a> {
                 continue;
             }
             let goal = self.win.state(a, rejoin).at;
-            if goal == fleet.pos[a] || cfg.slack == 0 {
+            if goal == fleet.pos[a] {
                 continue;
             }
             debug_assert!(
@@ -1747,7 +1742,7 @@ impl<'a> Simulation<'a> {
                 agent: a,
                 start: fleet.pos[a],
                 goal,
-                deadline: cfg.slack,
+                deadline: SLACK,
                 rejoin_cursor: rejoin,
                 lag,
             });
@@ -1762,14 +1757,13 @@ impl<'a> Simulation<'a> {
         // Deepest-lagged first when the batch is over budget (ties break
         // toward the lowest agent index), then back to agent order so the
         // acceptance pass stays order-deterministic.
-        let batch = cfg.max_batch.max(1);
-        if requests.len() > batch {
+        if requests.len() > MAX_BATCH {
             requests.sort_unstable_by(|x, y| y.lag.cmp(&x.lag).then(x.agent.cmp(&y.agent)));
-            requests.truncate(batch);
+            requests.truncate(MAX_BATCH);
             requests.sort_unstable_by_key(|r| r.agent);
         }
         for r in requests.iter() {
-            fleet.repair_cooldown_until[r.agent] = t + cfg.cooldown;
+            fleet.repair_cooldown_until[r.agent] = t + REPAIR_COOLDOWN;
             self.counters.repairs_attempted += 1;
             is_candidate[r.agent] = true;
         }
@@ -1781,21 +1775,21 @@ impl<'a> Simulation<'a> {
         // clears it in O(touched).
         //
         // Locality: a deadline-capped search expands states within
-        // `slack + 1` steps of its start and queries times up to
-        // `slack + 1`, while agent `b`'s projection at relative time `k`
+        // `SLACK + 1` steps of its start and queries times up to
+        // `SLACK + 1`, while agent `b`'s projection at relative time `k`
         // lies within `k` steps of `pos[b]` (one cell per tick, Manhattan
         // distance bounds graph distance from below). So an agent beyond
-        // Manhattan distance `2 * (slack + 1)` of every candidate start
+        // Manhattan distance `2 * (SLACK + 1)` of every candidate start
         // can never collide with any query, and projected trajectories
-        // never need more than `slack + 2` cells (the `slack + 2`nd cell
+        // never need more than `SLACK + 2` cells (the `SLACK + 2`nd cell
         // parks the agent at exactly the last queryable time, answering
         // every in-budget query identically to the full projection).
         // Both cuts are what keeps a repair event on a 100k-vertex floor
-        // O(neighbourhood), not O(agents × lookahead).
+        // O(neighbourhood), not O(agents × window).
         let graph = self.instance.warehouse.graph();
         table.reset();
-        let radius = 2 * (cfg.slack as u64 + 1);
-        let span = cfg.lookahead.min(cfg.slack + 2);
+        let radius = 2 * (SLACK as u64 + 1);
+        let span = SLACK + 2;
         let near = |v: VertexId| {
             let at = graph.coord(v);
             requests.iter().any(|r| {

@@ -59,7 +59,6 @@ fn config(
             enabled: true,
             lag_threshold: 3,
             threads: Some(threads),
-            ..RepairConfig::default()
         },
         replan_lag,
         engine,

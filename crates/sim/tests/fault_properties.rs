@@ -70,7 +70,6 @@ fn static_config(engine: SimEngine, fault_seed: u64, threads: usize) -> SimConfi
             enabled: true,
             lag_threshold: 3,
             threads: Some(threads),
-            ..RepairConfig::default()
         },
         replan_lag: 16,
         engine,

@@ -12,8 +12,8 @@
 //! * [`ComponentKind::Transport`] — contains neither.
 //!
 //! The paper's head/tail naming is inconsistent between §IV-A and
-//! Algorithm 1 (see DESIGN.md §3.1); this crate uses the unambiguous
-//! `entry`/`exit` convention throughout.
+//! Algorithm 1; this crate uses the unambiguous `entry`/`exit` convention
+//! throughout.
 //!
 //! # Examples
 //!

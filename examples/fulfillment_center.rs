@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for units in [550u64, 825, 1100] {
         let workload = map.uniform_workload(units);
         let options = FlowSynthesisOptions {
-            skip_capacity: true, // the paper's configuration; see DESIGN.md
+            skip_capacity: true, // the paper's configuration: no capacity bound
             ..FlowSynthesisOptions::default()
         };
         let t0 = std::time::Instant::now();

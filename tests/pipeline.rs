@@ -69,10 +69,95 @@ fn relaxed_lower_bounds_integer_on_fulfillment_1() {
 }
 
 #[test]
+fn table1_deterministic_columns_are_pinned() {
+    // Table I as `cargo run -p wsp-bench --bin table1` prints it, minus
+    // the seconds columns. Relaxed rows: (objective, variables,
+    // constraints, q_c), or `None` for `Infeasible`.
+    let paper_mode = [
+        Some(("22.857143", 43, 80, 21)),
+        Some(("45.714286", 43, 80, 21)),
+        Some(("68.571429", 43, 80, 21)),
+        Some(("151.724138", 321, 380, 29)),
+        Some(("227.586207", 321, 380, 29)),
+        Some(("303.448276", 321, 380, 29)),
+        Some(("280.000000", 256, 377, 30)),
+        Some(("308.000000", 256, 377, 30)),
+        Some(("336.000000", 256, 377, 30)),
+    ];
+    let strict_relaxed = [
+        Some(("22.857143", 43, 83, 21)),
+        Some(("45.714286", 43, 83, 21)),
+        Some(("68.571429", 43, 83, 21)),
+        Some(("151.724138", 321, 388, 29)),
+        Some(("227.586207", 321, 388, 29)),
+        None,
+        None,
+        None,
+        None,
+    ];
+    let rows = wsp_bench::table1_rows();
+    let instances = rows
+        .iter()
+        .flat_map(|(map, workloads)| workloads.iter().map(move |&units| (map, units)));
+    for (i, (map, units)) in instances.enumerate() {
+        let workload = map.uniform_workload(units);
+        for (skip_capacity, expected) in [(true, paper_mode[i]), (false, strict_relaxed[i])] {
+            let options = FlowSynthesisOptions {
+                skip_capacity,
+                ..FlowSynthesisOptions::default()
+            };
+            let got = match synthesize_flow_relaxed(
+                &map.warehouse,
+                &map.traffic,
+                &workload,
+                wsp_bench::T_LIMIT,
+                &options,
+            ) {
+                Ok(s) => Some((
+                    format!("{:.6}", s.objective),
+                    s.variables,
+                    s.constraints,
+                    s.periods,
+                )),
+                Err(wsp_flow::FlowError::Infeasible { .. }) => None,
+                Err(e) => panic!("{} {units}: {e}", map.name),
+            };
+            let expected = expected.map(|(objective, v, c, q)| (objective.to_string(), v, c, q));
+            assert_eq!(
+                got, expected,
+                "{} {units} units, skip_capacity {skip_capacity}",
+                map.name
+            );
+        }
+    }
+
+    // Strict integer pipeline, Sorting Center rows: (agents, delivered,
+    // plan steps).
+    let (map, workloads) = &rows[0];
+    let expected = [(108, 209, 1078), (108, 353, 1742), (108, 533, 2572)];
+    for (&units, expected) in workloads.iter().zip(expected) {
+        let instance = WspInstance::new(
+            map.warehouse.clone(),
+            map.traffic.clone(),
+            map.uniform_workload(units),
+            wsp_bench::T_LIMIT,
+        );
+        let report = solve(&instance, &PipelineOptions::default()).expect("pipeline solves");
+        let got = (
+            report.outcome.agents,
+            report.stats.total_delivered(),
+            report.outcome.timesteps,
+        );
+        assert_eq!(got, expected, "Sorting Center {units} units");
+    }
+}
+
+#[test]
 fn capacity_bound_is_the_feasibility_boundary() {
     // Fulfillment 2's Table I workloads exceed the Property 4.1 throughput
-    // ceiling (DESIGN.md §3.7): strict mode must reject them, paper mode
-    // (no capacity assumption) must accept them.
+    // ceiling (at most ⌊|Cᵢ|/2⌋ agents enter a component per period):
+    // strict mode must reject them, paper mode (no capacity assumption)
+    // must accept them.
     let map = wsp_maps::fulfillment_center_2().expect("map builds");
     let workload = map.uniform_workload(1_200);
     let strict = synthesize_flow_relaxed(
