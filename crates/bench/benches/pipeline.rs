@@ -27,12 +27,8 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Realization alone (the per-timestep hot path) on the sorting center:
-/// synthesize once, realize repeatedly over the full horizon.
-fn bench_realize(c: &mut Criterion) {
-    let mut group = c.benchmark_group("realize");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(5));
+/// The sorting center's map and its 160-unit cycle set.
+fn sorting_center_160() -> (wsp_maps::MapInstance, wsp_flow::AgentCycleSet) {
     let map = wsp_maps::sorting_center().expect("sorting builds");
     let workload = map.uniform_workload(160);
     let flow = wsp_flow::synthesize_flow(
@@ -44,6 +40,16 @@ fn bench_realize(c: &mut Criterion) {
     )
     .expect("flow synthesizes");
     let cycles = flow.decompose().expect("decomposes");
+    (map, cycles)
+}
+
+/// Realization alone (the per-timestep hot path) on the sorting center:
+/// synthesize once, realize repeatedly over the full horizon.
+fn bench_realize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("realize");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(5));
+    let (map, cycles) = sorting_center_160();
     group.bench_function("sorting_center-160", |b| {
         b.iter(|| {
             criterion::black_box(wsp_realize::realize(
@@ -58,5 +64,27 @@ fn bench_realize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_realize);
+/// Verification alone: `PlanChecker` over the plan `bench_realize`
+/// realizes, reusing one `CheckScratch` as the staged pipeline does.
+fn bench_verify(c: &mut Criterion) {
+    let mut group = c.benchmark_group("verify");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(5));
+    let (map, cycles) = sorting_center_160();
+    let plan = wsp_realize::realize(&map.warehouse, &map.traffic, &cycles, None, 600)
+        .expect("realizes")
+        .plan;
+    let checker = wsp_model::PlanChecker::new(&map.warehouse);
+    let mut scratch = wsp_model::CheckScratch::new();
+    group.bench_function("sorting_center-160", |b| {
+        b.iter(|| {
+            criterion::black_box(
+                checker.check_with_scratch(criterion::black_box(&plan), &mut scratch),
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipeline, bench_realize, bench_verify);
 criterion_main!(benches);

@@ -1,6 +1,5 @@
 //! Discrete agent plans `(π, φ)` and their feasibility/servicing checkers.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{ModelError, ProductId, VertexId, Warehouse, Workload};
@@ -59,11 +58,34 @@ impl AgentState {
     }
 }
 
+/// The most bytes one row block holds: rows are stored `2^shift` to a
+/// block, `shift` the largest that fits (one row wider than this gets a
+/// block of its own).
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// `log2` of the rows per block for a plan `width` agents wide.
+fn block_shift(width: usize) -> u32 {
+    (BLOCK_BYTES / (width.max(1) * std::mem::size_of::<AgentState>()))
+        .max(1)
+        .ilog2()
+}
+
 /// A `T`-timestep plan for a team of agents: the pair of `c × (T+1)`
-/// matrices `(π, φ)` of §III, stored agent-major.
+/// matrices `(π, φ)` of §III, stored time-major.
 ///
 /// State index `t ∈ [0, T]` holds the configuration *at* timestep `t`;
-/// timestep `t → t+1` is one synchronous move of the whole team.
+/// timestep `t → t+1` is one synchronous move of the whole team. Row `t`
+/// ([`row`](Self::row)) holds every agent's state at `t` in agent order,
+/// so realization appends one row per tick ([`push_row`](Self::push_row))
+/// and the checker walks row pairs. Rows live in blocks of at most 64 KiB,
+/// a power-of-two number of rows each, so `row(t)` is a shift and a mask
+/// and a long plan is many small allocations that the allocator reuses,
+/// never one large buffer per plan.
+///
+/// A plan can also be built agent by agent ([`add_agent`](Self::add_agent)
+/// then [`push_state`](Self::push_state)); until every trajectory has the
+/// same length it is *ragged*, which [`validate_shape`](Self::validate_shape)
+/// reports. Equality and `Debug` see only the trajectories.
 ///
 /// # Examples
 ///
@@ -72,14 +94,30 @@ impl AgentState {
 ///
 /// let mut plan = Plan::new();
 /// let agent = plan.add_agent(AgentState::idle(VertexId(0)));
-/// plan.push_state(agent, AgentState::idle(VertexId(1)));
+/// plan.add_agent(AgentState::idle(VertexId(7)));
+/// plan.push_row([AgentState::idle(VertexId(1)), AgentState::idle(VertexId(7))]);
 /// assert_eq!(plan.horizon(), 1);
-/// assert_eq!(plan.agent_count(), 1);
+/// assert_eq!(plan.agent_count(), 2);
+/// assert_eq!(plan.row(1)[agent], AgentState::idle(VertexId(1)));
+/// assert_eq!(
+///     plan.trajectory(agent),
+///     [AgentState::idle(VertexId(0)), AgentState::idle(VertexId(1))]
+/// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Default)]
 pub struct Plan {
-    /// Per-agent state trajectories; all must end up the same length.
-    trajectories: Vec<Vec<AgentState>>,
+    /// Number of agents `c`: the width of every row.
+    agents: usize,
+    /// Rows stored: the longest trajectory's length (0 without agents).
+    rows: usize,
+    /// Each block holds `1 << shift` rows; the last may hold fewer.
+    shift: u32,
+    blocks: Vec<Vec<AgentState>>,
+    /// Per agent, how many rows its trajectory is short of `rows`; the
+    /// cells past an agent's trajectory are placeholders.
+    missing: Vec<usize>,
+    /// Agents with `missing > 0`: zero exactly when the plan is not ragged.
+    short: usize,
 }
 
 impl Plan {
@@ -89,9 +127,36 @@ impl Plan {
     }
 
     /// Adds an agent with its initial (t = 0) state; returns its index.
+    ///
+    /// Cheap while the plan holds only its initial row; after that every
+    /// stored row is rewritten one agent wider.
     pub fn add_agent(&mut self, initial: AgentState) -> usize {
-        self.trajectories.push(vec![initial]);
-        self.trajectories.len() - 1
+        let width = self.agents + 1;
+        let shift = block_shift(width);
+        if self.rows <= 1 {
+            // Row 0 alone sits at the front of block 0, whatever the
+            // block shape.
+            self.blocks.resize_with(1, Vec::new);
+            self.blocks[0].push(initial);
+            self.rows = 1;
+        } else {
+            // The new agent's cells after t = 0 are placeholders.
+            let mut blocks: Vec<Vec<AgentState>> = Vec::new();
+            for t in 0..self.rows {
+                if t & ((1 << shift) - 1) == 0 {
+                    blocks.push(Vec::with_capacity(width << shift));
+                }
+                let block = blocks.last_mut().expect("opened at its first row");
+                block.extend_from_slice(self.cells(t));
+                block.push(initial);
+            }
+            self.blocks = blocks;
+            self.short += 1;
+        }
+        self.agents = width;
+        self.shift = shift;
+        self.missing.push(self.rows - 1);
+        width - 1
     }
 
     /// Appends the next-timestep state for an agent.
@@ -100,45 +165,127 @@ impl Plan {
     ///
     /// Panics if `agent` is out of range.
     pub fn push_state(&mut self, agent: usize, state: AgentState) {
-        self.trajectories[agent].push(state);
+        if self.missing[agent] == 0 {
+            // A longest trajectory grows: open a row of placeholders.
+            let width = self.agents;
+            self.tail_block().extend(std::iter::repeat_n(state, width));
+            self.rows += 1;
+            for m in &mut self.missing {
+                *m += 1;
+            }
+            self.short = self.agents;
+        }
+        let t = self.rows - self.missing[agent];
+        let at = (t & self.mask()) * self.agents + agent;
+        self.blocks[t >> self.shift][at] = state;
+        self.missing[agent] -= 1;
+        if self.missing[agent] == 0 {
+            self.short -= 1;
+        }
     }
 
-    /// Reserves room for `additional` further states in every trajectory, so a
-    /// realization loop that appends one state per agent per tick does not pay
-    /// for doubling reallocations across thousands of small vectors.
-    pub fn reserve_states(&mut self, additional: usize) {
-        for t in &mut self.trajectories {
-            t.reserve(additional);
+    /// Appends the next-timestep states of all agents, in agent order: one
+    /// row, the same as one [`push_state`](Self::push_state) per agent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not yield exactly one state per agent, or if
+    /// the plan is ragged.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = AgentState>) {
+        assert_eq!(self.short, 0, "push_row on a ragged plan");
+        let width = self.agents;
+        if width == 0 {
+            // An agent-less plan has no rows to extend (its horizon stays 0).
+            assert!(
+                row.into_iter().next().is_none(),
+                "push_row got states for a plan without agents"
+            );
+            return;
         }
+        let block = self.tail_block();
+        let start = block.len();
+        block.extend(row);
+        let pushed = block.len() - start;
+        assert_eq!(
+            pushed, width,
+            "push_row got {pushed} states for {width} agents"
+        );
+        self.rows += 1;
+    }
+
+    /// The block row `self.rows` goes to, opened if the row starts one, with
+    /// room for a whole block.
+    fn tail_block(&mut self) -> &mut Vec<AgentState> {
+        if self.rows & self.mask() == 0 {
+            self.blocks.push(Vec::new());
+        }
+        let full = self.agents << self.shift;
+        let block = self
+            .blocks
+            .last_mut()
+            .expect("a plan with agents has a block");
+        block.reserve_exact(full - block.len());
+        block
+    }
+
+    fn mask(&self) -> usize {
+        (1 << self.shift) - 1
+    }
+
+    /// Row `t`'s cells, placeholders included.
+    fn cells(&self, t: usize) -> &[AgentState] {
+        let at = (t & self.mask()) * self.agents;
+        &self.blocks[t >> self.shift][at..at + self.agents]
+    }
+
+    /// Agent `agent`'s trajectory length.
+    fn len(&self, agent: usize) -> usize {
+        self.rows - self.missing[agent]
     }
 
     /// Number of agents `c`.
     pub fn agent_count(&self) -> usize {
-        self.trajectories.len()
+        self.agents
     }
 
-    /// The planning horizon `T` (number of timesteps, i.e. states minus one).
-    /// Zero for an empty plan.
+    /// The planning horizon `T` (number of timesteps, i.e. states minus one)
+    /// of the longest trajectory. Zero for an empty plan.
     pub fn horizon(&self) -> usize {
-        self.trajectories
-            .iter()
-            .map(|t| t.len().saturating_sub(1))
-            .max()
-            .unwrap_or(0)
+        self.rows.saturating_sub(1)
+    }
+
+    /// The configuration at time `t`: every agent's state, in agent order
+    /// (empty for a plan without agents).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > horizon()` or the plan is ragged.
+    pub fn row(&self, t: usize) -> &[AgentState] {
+        assert!(
+            self.short == 0 && t <= self.horizon(),
+            "row {t} of a plan with horizon {} ({} ragged agents)",
+            self.horizon(),
+            self.short
+        );
+        if self.agents == 0 {
+            return &[];
+        }
+        self.cells(t)
     }
 
     /// The state of `agent` at time `t`, or `None` if out of range.
     pub fn state(&self, agent: usize, t: usize) -> Option<AgentState> {
-        self.trajectories.get(agent)?.get(t).copied()
+        let len = self.rows - *self.missing.get(agent)?;
+        (t < len).then(|| self.cells(t)[agent])
     }
 
-    /// The full trajectory of one agent.
+    /// The full trajectory of one agent, gathered from the rows.
     ///
     /// # Panics
     ///
     /// Panics if `agent` is out of range.
-    pub fn trajectory(&self, agent: usize) -> &[AgentState] {
-        &self.trajectories[agent]
+    pub fn trajectory(&self, agent: usize) -> Vec<AgentState> {
+        (0..self.len(agent)).map(|t| self.cells(t)[agent]).collect()
     }
 
     /// Checks all trajectories have equal length (a well-formed matrix).
@@ -147,17 +294,35 @@ impl Plan {
     ///
     /// Returns [`ModelError::MalformedPlan`] otherwise.
     pub fn validate_shape(&self) -> Result<(), ModelError> {
-        if let Some(first) = self.trajectories.first() {
-            let len = first.len();
-            for (i, t) in self.trajectories.iter().enumerate() {
-                if t.len() != len {
-                    return Err(ModelError::MalformedPlan {
-                        detail: format!("agent 0 has {len} states but agent {i} has {}", t.len()),
-                    });
-                }
-            }
+        if self.short == 0 {
+            return Ok(());
         }
-        Ok(())
+        let len = self.len(0);
+        let i = (1..self.agents)
+            .find(|&i| self.len(i) != len)
+            .expect("a ragged plan has two trajectory lengths");
+        Err(ModelError::MalformedPlan {
+            detail: format!("agent 0 has {len} states but agent {i} has {}", self.len(i)),
+        })
+    }
+}
+
+impl PartialEq for Plan {
+    fn eq(&self, other: &Plan) -> bool {
+        self.agents == other.agents
+            && (0..self.agents).all(|a| self.trajectory(a) == other.trajectory(a))
+    }
+}
+
+impl Eq for Plan {}
+
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let trajectories: Vec<Vec<AgentState>> =
+            (0..self.agents).map(|a| self.trajectory(a)).collect();
+        f.debug_struct("Plan")
+            .field("trajectories", &trajectories)
+            .finish()
     }
 }
 
@@ -311,7 +476,9 @@ pub struct CheckScratch {
     depart_agent: Vec<u32>,
     depart_cells: Vec<u32>,
     depart_overflow: Vec<(VertexId, VertexId, usize)>,
-    picked: HashMap<(VertexId, ProductId), u64>,
+    /// One `(vertex, product)` entry per pickup, sorted into the ledger at
+    /// the end of a check.
+    picks: Vec<(VertexId, ProductId)>,
 }
 
 impl CheckScratch {
@@ -350,7 +517,7 @@ impl CheckScratch {
         self.depart_to.resize(n_vertices, NONE);
         self.depart_agent.resize(n_vertices, NONE);
         self.depart_overflow.clear();
-        self.picked.clear();
+        self.picks.clear();
     }
 }
 
@@ -413,34 +580,35 @@ impl<'w> PlanChecker<'w> {
             })
         })?;
 
-        let mut violations = Vec::new();
         let graph = self.warehouse.graph();
         let horizon = plan.horizon();
         let agents = plan.agent_count();
+        let n_vertices = graph.vertex_count();
 
         // Range guard: the dense per-vertex tables below index by vertex
         // id, so out-of-range ids (a plan built against another warehouse)
-        // must be rejected up front rather than panic.
-        for a in 0..agents {
-            for t in 0..=horizon {
-                let s = plan.state(a, t).expect("validated shape");
-                if s.at.index() >= graph.vertex_count() {
-                    violations.push(PlanViolation::UnknownVertex {
-                        agent: a,
-                        t,
-                        vertex: s.at,
-                    });
-                    break; // report each agent's first occurrence only
-                }
-            }
-        }
-        if !violations.is_empty() {
+        // must be rejected up front rather than panic. Each agent's first
+        // occurrence is reported, in agent order.
+        if (0..=horizon).any(|t| plan.row(t).iter().any(|s| s.at.index() >= n_vertices)) {
+            let violations = (0..agents)
+                .filter_map(|a| {
+                    (0..=horizon)
+                        .map(|t| (t, plan.row(t)[a].at))
+                        .find(|&(_, at)| at.index() >= n_vertices)
+                        .map(|(t, vertex)| PlanViolation::UnknownVertex {
+                            agent: a,
+                            t,
+                            vertex,
+                        })
+                })
+                .collect();
             return Err(Box::new(CheckFailure {
                 violations,
                 malformed: None,
             }));
         }
 
+        let mut violations = Vec::new();
         let mut stats = PlanStats {
             delivered: vec![0; self.warehouse.catalog().len()],
             agents,
@@ -454,7 +622,7 @@ impl<'w> PlanChecker<'w> {
         // vertex count), matching the flat-graph storage invariants.
         // Destructure so the loop body below reads like local state.
         const NONE: u32 = crate::NO_INDEX;
-        scratch.prepare(graph.vertex_count());
+        scratch.prepare(n_vertices);
         let CheckScratch {
             occupied,
             occupied_cells,
@@ -462,7 +630,7 @@ impl<'w> PlanChecker<'w> {
             depart_agent,
             depart_cells,
             depart_overflow,
-            picked,
+            picks,
         } = scratch;
         // Departure table: at most one agent legally departs a vertex per
         // step, so a (destination, agent) pair per source vertex suffices
@@ -471,12 +639,12 @@ impl<'w> PlanChecker<'w> {
         // overflow list so every swap is still found.
 
         for t in 0..=horizon {
+            let row = plan.row(t);
             // Condition (2a): vertex collisions at time t.
             for cell in occupied_cells.drain(..) {
                 occupied[cell as usize] = NONE;
             }
-            for a in 0..agents {
-                let s = plan.state(a, t).expect("validated shape");
+            for (a, s) in row.iter().enumerate() {
                 let slot = &mut occupied[s.at.index()];
                 if *slot != NONE {
                     violations.push(PlanViolation::VertexCollision {
@@ -499,10 +667,7 @@ impl<'w> PlanChecker<'w> {
                 depart_agent[cell as usize] = NONE;
             }
             depart_overflow.clear();
-            for a in 0..agents {
-                let cur = plan.state(a, t).expect("validated shape");
-                let nxt = plan.state(a, t + 1).expect("validated shape");
-
+            for (a, (cur, nxt)) in row.iter().zip(plan.row(t + 1)).enumerate() {
                 // Condition (1): move by 0 or 1 vertices along an edge.
                 if cur.at != nxt.at {
                     if !graph.has_edge(cur.at, nxt.at) {
@@ -552,7 +717,7 @@ impl<'w> PlanChecker<'w> {
                                 detail: format!("picked {p} at {} which does not stock it", cur.at),
                             });
                         } else {
-                            *picked.entry((cur.at, p)).or_insert(0) += 1;
+                            picks.push((cur.at, p));
                         }
                     }
                     (Carry::Product(p), Carry::Empty) => {
@@ -593,15 +758,19 @@ impl<'w> PlanChecker<'w> {
             depart_agent[cell as usize] = NONE;
         }
 
-        // Inventory accounting: total picks per (vertex, product) within Λ.
-        for ((v, p), &n) in picked.iter() {
-            let available = self.warehouse.location_matrix().units_at(*v, *p);
-            if n > available {
+        // Inventory accounting: total picks per (vertex, product) within Λ,
+        // reported in ascending (vertex, product) order.
+        picks.sort_unstable();
+        for site in picks.chunk_by(|x, y| x == y) {
+            let (at, product) = site[0];
+            let available = self.warehouse.location_matrix().units_at(at, product);
+            let picked = site.len() as u64;
+            if picked > available {
                 violations.push(PlanViolation::InventoryExceeded {
-                    at: *v,
-                    product: *p,
+                    at,
+                    product,
                     available,
-                    picked: n,
+                    picked,
                 });
             }
         }
@@ -1065,6 +1234,59 @@ mod tests {
             .violations
             .iter()
             .any(|vi| matches!(vi, PlanViolation::InventoryExceeded { .. })));
+    }
+
+    #[test]
+    fn inventory_violations_come_in_site_order() {
+        // Stations beside shelves are shelf-access vertices too, so an
+        // agent can pick, drop and pick again without moving. Each of the
+        // four station agents (added in descending vertex order) picks
+        // product 1 twice and then product 0 twice against one unit each:
+        // eight over-picked sites.
+        let grid = GridMap::from_ascii("@#@#@#@\n.......").unwrap();
+        let mut w = Warehouse::from_grid(&grid).unwrap();
+        w.set_catalog(ProductCatalog::with_len(2));
+        let mut stations = w.stations().to_vec();
+        for &v in &stations {
+            w.stock(v, ProductId(0), 1).unwrap();
+            w.stock(v, ProductId(1), 1).unwrap();
+        }
+        stations.sort_unstable_by(|a, b| b.cmp(a));
+        let checker = PlanChecker::new(&w);
+        let mut plan = Plan::new();
+        for &v in &stations {
+            plan.add_agent(AgentState::idle(v));
+        }
+        for p in [1, 1, 0, 0] {
+            for carry in [Carry::Product(ProductId(p)), Carry::Empty] {
+                plan.push_row(stations.iter().map(|&at| AgentState { at, carry }));
+            }
+        }
+
+        let err = checker.check(&plan).unwrap_err();
+        let sites: Vec<(VertexId, ProductId)> = err
+            .violations
+            .iter()
+            .map(|violation| match violation {
+                PlanViolation::InventoryExceeded {
+                    at,
+                    product,
+                    available: 1,
+                    picked: 2,
+                } => (*at, *product),
+                other => panic!("unexpected violation {other}"),
+            })
+            .collect();
+        let mut ascending = sites.clone();
+        ascending.sort_unstable();
+        assert_eq!(sites.len(), 8);
+        assert_eq!(sites, ascending);
+        // The failure text repeats exactly across checks and scratches.
+        let mut scratch = CheckScratch::new();
+        for _ in 0..3 {
+            let again = checker.check_with_scratch(&plan, &mut scratch).unwrap_err();
+            assert_eq!(again.to_string(), err.to_string());
+        }
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub struct RealizeOutcome {
 struct AgentRt {
     cycle: usize,
     step: usize,
+    /// The current step's component and action, refreshed at each hop so
+    /// the stepping loop never re-reads the cycle set.
+    component: ComponentId,
+    action: CycleAction,
     pos: VertexId,
     /// Offset of `pos` on the current component's path (0 = entry),
     /// maintained incrementally (+1 on internal moves, 0 on hops) so the
@@ -381,13 +385,17 @@ fn load_snapshots(
     scratch.prepare(warehouse.graph().vertex_count(), traffic.component_count());
     let mut plan = Plan::new();
     for s in states {
-        let comp = cycles.cycles()[s.cycle].steps()[s.step].component;
+        let step = &cycles.cycles()[s.cycle].steps()[s.step];
         // O(1) stray detection + path offset via the dense locate table
         // (components are disjoint, so owning component ⇒ on its path).
-        let located = traffic.locate(s.pos).filter(|&(owner, _)| owner == comp);
+        let located = traffic
+            .locate(s.pos)
+            .filter(|&(owner, _)| owner == step.component);
         scratch.agents.push(AgentRt {
             cycle: s.cycle,
             step: s.step,
+            component: step.component,
+            action: step.action,
             pos: s.pos,
             path_off: located.map_or(0, |(_, off)| off),
             advance_t: s.advance_t,
@@ -509,15 +517,8 @@ fn run_ticks(
     let mut pickup_misses = 0u64;
     let mut missed_advances = 0u64;
 
-    let step_component = |a: &AgentRt| cycles.cycles()[a.cycle].steps()[a.step].component;
-    let step_action = |a: &AgentRt| cycles.cycles()[a.cycle].steps()[a.step].action;
-
     // Per-agent hop flag for this step (diagnostics).
     move_hopped.resize(n_agents, false);
-
-    // One state per agent per tick lands in the plan; reserving up front keeps
-    // thousands of small trajectory vectors from doubling mid-loop.
-    plan.reserve_states(ticks);
 
     // Occupancy and per-component resident lists, built once and then
     // maintained incrementally by the move-apply pass. Within a component
@@ -533,7 +534,7 @@ fn run_ticks(
         occupied_cells.push(a.pos.0);
         // Strays block their cell but never move or act.
         if !a.stray {
-            by_component[step_component(a).index()].push(idx);
+            by_component[a.component.index()].push(idx);
         }
     }
     for list in by_component.iter_mut() {
@@ -615,7 +616,7 @@ fn run_ticks(
             if agents[idx].stray {
                 continue;
             }
-            let action = step_action(&agents[idx]);
+            let action = agents[idx].action;
             let pos_t = agents[idx].pos;
             match action {
                 CycleAction::Pickup(p) => {
@@ -656,14 +657,16 @@ fn run_ticks(
             if hopped {
                 // The hopper holds the component's maximum offset, so it is
                 // the front entry of its (descending-sorted) resident list.
-                let old_comp = step_component(&agents[idx]).index();
-                debug_assert_eq!(by_component[old_comp].first(), Some(&idx));
-                by_component[old_comp].remove(0);
-                let cycle = &cycles.cycles()[agents[idx].cycle];
-                agents[idx].step = (agents[idx].step + 1) % cycle.steps().len();
-                agents[idx].advance_t = (t + 1) as i64;
-                agents[idx].path_off = 0;
-                by_component[step_component(&agents[idx]).index()].push(idx);
+                let a = &mut agents[idx];
+                debug_assert_eq!(by_component[a.component.index()].first(), Some(&idx));
+                by_component[a.component.index()].remove(0);
+                let steps = cycles.cycles()[a.cycle].steps();
+                a.step = (a.step + 1) % steps.len();
+                a.component = steps[a.step].component;
+                a.action = steps[a.step].action;
+                a.advance_t = (t + 1) as i64;
+                a.path_off = 0;
+                by_component[a.component.index()].push(idx);
             } else {
                 agents[idx].path_off += 1;
             }
@@ -682,14 +685,11 @@ fn run_ticks(
             }
         }
 
-        // Record the t+1 states.
-        for (idx, a) in agents.iter().enumerate() {
-            let carry = match a.carry {
-                None => Carry::Empty,
-                Some(p) => Carry::Product(p),
-            };
-            plan.push_state(idx, AgentState { at: a.pos, carry });
-        }
+        // Record the t+1 configuration.
+        plan.push_row(agents.iter().map(|a| AgentState {
+            at: a.pos,
+            carry: a.carry.map_or(Carry::Empty, Carry::Product),
+        }));
     }
 
     // Restore the clean-tables invariant for the next reuse of the scratch

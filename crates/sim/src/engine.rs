@@ -1096,9 +1096,7 @@ impl<'a> Simulation<'a> {
     fn record(&mut self, ticks: u64) {
         if let Some(plan) = self.executed.as_mut() {
             for _ in 0..ticks {
-                for a in 0..self.fleet.pos.len() {
-                    plan.push_state(a, self.fleet.state(a));
-                }
+                plan.push_row((0..self.fleet.pos.len()).map(|a| self.fleet.state(a)));
             }
         }
     }

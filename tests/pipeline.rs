@@ -54,7 +54,9 @@ fn paper_and_layered_engines_agree_on_team_size() {
 }
 
 #[test]
-fn relaxed_lower_bounds_integer_on_fulfillment_1() {
+fn strict_relaxation_is_feasible_on_fulfillment_1_at_550_units() {
+    // Only feasibility: the strict integer solve at this size ends at the
+    // branch-and-bound node limit without an incumbent to compare against.
     let map = wsp_maps::fulfillment_center_1().expect("map builds");
     let workload = map.uniform_workload(550);
     let relaxed = synthesize_flow_relaxed(
@@ -66,6 +68,28 @@ fn relaxed_lower_bounds_integer_on_fulfillment_1() {
     )
     .expect("strict relaxed feasible at 550 units");
     assert!(relaxed.objective > 0.0);
+}
+
+#[test]
+fn relaxation_lower_bounds_integer_on_sorting_center() {
+    // The LP relaxation of one encoding can only undercut its integer
+    // optimum; on the sorting center both solves complete.
+    let map = wsp_maps::sorting_center().expect("map builds");
+    let options = FlowSynthesisOptions::default();
+    for units in [40, 80, 160, 240] {
+        let workload = map.uniform_workload(units);
+        let relaxed =
+            synthesize_flow_relaxed(&map.warehouse, &map.traffic, &workload, 3_600, &options)
+                .expect("strict relaxation feasible");
+        let integer = synthesize_flow(&map.warehouse, &map.traffic, &workload, 3_600, &options)
+            .expect("strict integer solve completes");
+        assert!(
+            relaxed.objective <= integer.total_edge_flow() as f64 + 1e-6,
+            "{units} units: LP {} above ILP {}",
+            relaxed.objective,
+            integer.total_edge_flow()
+        );
+    }
 }
 
 #[test]
