@@ -464,21 +464,26 @@ impl PlanStats {
 /// the staged pipeline verifying one realization per design candidate)
 /// allocate nothing after the first use.
 ///
-/// Invariant between calls: every dense entry is reset to its sentinel
-/// (the touched lists are drained at the end of each check), so a scratch
-/// can be handed to a checker bound to a *different* warehouse — the
-/// tables are resized and the ledger cleared on entry.
+/// Every table entry carries the tick stamp it was written at, and only
+/// an entry stamped with the current tick's stamp is live. The stamps come
+/// from a generation counter that persists across checks (on wrap, every
+/// entry is reset once), so a tick starts with empty tables without any
+/// clearing pass, and entries left by an earlier check (on this warehouse
+/// or a larger one) never read as live. One scratch can be handed to
+/// checkers bound to different warehouses; the tables grow on entry.
 #[derive(Debug, Default)]
 pub struct CheckScratch {
-    occupied: Vec<u32>,
-    occupied_cells: Vec<u32>,
-    depart_to: Vec<u32>,
-    depart_agent: Vec<u32>,
-    depart_cells: Vec<u32>,
+    /// Per vertex, `(tick stamp, agent)` of its occupant.
+    occupied: Vec<(u32, u32)>,
+    /// Per vertex, `(tick stamp, to, agent)` of the first departure from
+    /// it in the transition `t -> t+1`.
+    departed: Vec<(u32, u32, u32)>,
     depart_overflow: Vec<(VertexId, VertexId, usize)>,
     /// One `(vertex, product)` entry per pickup, sorted into the ledger at
     /// the end of a check.
     picks: Vec<(VertexId, ProductId)>,
+    /// The last stamp handed out.
+    generation: u32,
 }
 
 impl CheckScratch {
@@ -487,38 +492,32 @@ impl CheckScratch {
         CheckScratch::default()
     }
 
-    /// Resets the ledger and sizes every dense table for `n_vertices`,
-    /// draining any marks a previous (possibly panicked-over) call left.
-    ///
-    /// In debug builds this first *asserts* the clean-tables invariant —
-    /// both touched lists drained — so a scratch that leaked marks (a
-    /// checker that panicked mid-check, or a future clearing bug) fails
-    /// loudly on its next reuse instead of silently misreporting when
-    /// handed to a checker bound to a differently-sized warehouse. Release
-    /// builds keep the defensive drain.
+    /// Resets the ledger and grows the stamped tables to `n_vertices`
+    /// (new entries carry stamp 0, which no tick is given).
     fn prepare(&mut self, n_vertices: usize) {
-        const NONE: u32 = crate::NO_INDEX;
-        debug_assert!(
-            self.occupied_cells.is_empty() && self.depart_cells.is_empty(),
-            "CheckScratch reused with undrained touched lists \
-             ({} occupancy, {} departure marks): a previous check did not \
-             restore the clean-tables invariant",
-            self.occupied_cells.len(),
-            self.depart_cells.len(),
-        );
-        for cell in self.occupied_cells.drain(..) {
-            self.occupied[cell as usize] = NONE;
+        if self.occupied.len() < n_vertices {
+            self.occupied.resize(n_vertices, (0, 0));
+            self.departed.resize(n_vertices, (0, 0, 0));
         }
-        for cell in self.depart_cells.drain(..) {
-            self.depart_to[cell as usize] = NONE;
-            self.depart_agent[cell as usize] = NONE;
-        }
-        self.occupied.resize(n_vertices, NONE);
-        self.depart_to.resize(n_vertices, NONE);
-        self.depart_agent.resize(n_vertices, NONE);
         self.depart_overflow.clear();
         self.picks.clear();
     }
+}
+
+/// The next tick stamp from `generation`. When the counter would wrap,
+/// every entry is reset to stamp 0 first and counting restarts at 1.
+fn next_stamp(
+    generation: &mut u32,
+    occupied: &mut [(u32, u32)],
+    departed: &mut [(u32, u32, u32)],
+) -> u32 {
+    if *generation == u32::MAX {
+        occupied.fill((0, 0));
+        departed.fill((0, 0, 0));
+        *generation = 0;
+    }
+    *generation += 1;
+    *generation
 }
 
 /// Checks plans against a warehouse: feasibility conditions (1)–(3) of §III,
@@ -616,21 +615,18 @@ impl<'w> PlanChecker<'w> {
             ..PlanStats::default()
         };
         // Dense per-vertex scratch tables, owned by the caller-reusable
-        // `CheckScratch` and cleared per timestep through occupancy-sized
-        // touched lists (only the ≤ agents entries written last step are
-        // reset, so the per-timestep cost is O(agents), independent of the
-        // vertex count), matching the flat-graph storage invariants.
-        // Destructure so the loop body below reads like local state.
-        const NONE: u32 = crate::NO_INDEX;
+        // `CheckScratch`. Each tick takes a fresh stamp, so last tick's
+        // entries read as empty without being cleared and the per-tick
+        // cost is O(agents), independent of the vertex count, matching
+        // the flat-graph storage invariants. Destructure so the loop body
+        // below reads like local state.
         scratch.prepare(n_vertices);
         let CheckScratch {
             occupied,
-            occupied_cells,
-            depart_to,
-            depart_agent,
-            depart_cells,
+            departed,
             depart_overflow,
             picks,
+            generation,
         } = scratch;
         // Departure table: at most one agent legally departs a vertex per
         // step, so a (destination, agent) pair per source vertex suffices
@@ -640,32 +636,25 @@ impl<'w> PlanChecker<'w> {
 
         for t in 0..=horizon {
             let row = plan.row(t);
+            let stamp = next_stamp(generation, occupied, departed);
             // Condition (2a): vertex collisions at time t.
-            for cell in occupied_cells.drain(..) {
-                occupied[cell as usize] = NONE;
-            }
             for (a, s) in row.iter().enumerate() {
                 let slot = &mut occupied[s.at.index()];
-                if *slot != NONE {
+                if slot.0 == stamp {
                     violations.push(PlanViolation::VertexCollision {
-                        a: *slot as usize,
+                        a: slot.1 as usize,
                         b: a,
                         t,
                         at: s.at,
                     });
                 } else {
-                    *slot = a as u32;
-                    occupied_cells.push(s.at.0);
+                    *slot = (stamp, a as u32);
                 }
             }
             if t == horizon {
                 break;
             }
             // Per-agent transition t -> t+1.
-            for cell in depart_cells.drain(..) {
-                depart_to[cell as usize] = NONE;
-                depart_agent[cell as usize] = NONE;
-            }
             depart_overflow.clear();
             for (a, (cur, nxt)) in row.iter().zip(plan.row(t + 1)).enumerate() {
                 // Condition (1): move by 0 or 1 vertices along an edge.
@@ -681,9 +670,10 @@ impl<'w> PlanChecker<'w> {
                     stats.moves += 1;
                     // Condition (2b): edge swap — an earlier agent departed
                     // our destination toward our source.
-                    if depart_to[nxt.at.index()] == cur.at.0 {
+                    let (when, to, b) = departed[nxt.at.index()];
+                    if when == stamp && to == cur.at.0 {
                         violations.push(PlanViolation::EdgeCollision {
-                            a: depart_agent[nxt.at.index()] as usize,
+                            a: b as usize,
                             b: a,
                             t,
                         });
@@ -693,10 +683,9 @@ impl<'w> PlanChecker<'w> {
                             violations.push(PlanViolation::EdgeCollision { a: b, b: a, t });
                         }
                     }
-                    if depart_to[cur.at.index()] == NONE {
-                        depart_to[cur.at.index()] = nxt.at.0;
-                        depart_agent[cur.at.index()] = a as u32;
-                        depart_cells.push(cur.at.0);
+                    let slot = &mut departed[cur.at.index()];
+                    if slot.0 != stamp {
+                        *slot = (stamp, nxt.at.0, a as u32);
                     } else {
                         depart_overflow.push((cur.at, nxt.at, a));
                     }
@@ -746,16 +735,6 @@ impl<'w> PlanChecker<'w> {
                     }
                 }
             }
-        }
-
-        // Restore the clean-tables invariant for the next reuse of the
-        // scratch (the loop leaves the final timestep's marks behind).
-        for cell in occupied_cells.drain(..) {
-            occupied[cell as usize] = NONE;
-        }
-        for cell in depart_cells.drain(..) {
-            depart_to[cell as usize] = NONE;
-            depart_agent[cell as usize] = NONE;
         }
 
         // Inventory accounting: total picks per (vertex, product) within Λ,
@@ -980,22 +959,94 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "undrained touched lists"))]
-    fn dirty_scratch_fails_loudly_in_debug() {
+    fn scratch_survives_generation_wrap() {
         let w = small_warehouse();
         let checker = PlanChecker::new(&w);
+        // Three stamps are left before the counter wraps: the legal plan
+        // takes two, the colliding plan the last one, and the third check
+        // runs on the restarted counter.
+        let mut scratch = CheckScratch {
+            generation: u32::MAX - 3,
+            ..CheckScratch::new()
+        };
+        let mut legal = Plan::new();
+        let a = legal.add_agent(AgentState::idle(v(&w, 0, 0)));
+        legal.push_state(a, AgentState::idle(v(&w, 0, 1)));
+        let mut colliding = Plan::new();
+        colliding.add_agent(AgentState::idle(v(&w, 0, 1)));
+        colliding.add_agent(AgentState::idle(v(&w, 0, 1)));
+
+        for plan in [&legal, &colliding, &legal] {
+            assert_eq!(
+                checker.check_with_scratch(plan, &mut scratch),
+                checker.check(plan)
+            );
+        }
+        assert_eq!(scratch.generation, 2);
+    }
+
+    #[test]
+    fn stale_stamps_never_read_as_live() {
+        // A larger warehouse first, then the small one, then the larger one
+        // again: every check leaves its entries behind, and none of them
+        // may read as an occupant or a departure in a later check.
+        let w = small_warehouse();
+        let big =
+            Warehouse::from_grid(&GridMap::from_ascii(".#...\n.....\n..@..").unwrap()).unwrap();
         let mut scratch = CheckScratch::new();
-        // Simulate a mark leaked by a panicked-over check: the dense entry
-        // is stale but its touched list was never drained.
-        scratch.occupied.resize(4, crate::NO_INDEX);
-        scratch.occupied[2] = 0;
-        scratch.occupied_cells.push(2);
+        // One agent steps from `cells[0]` to `cells[1]` and back, and the
+        // next check steps over the same vertex ids the other way: were
+        // stamps restarted per check, its first departure would read as
+        // a swap with the previous check's.
+        let mut walk = |w: &Warehouse, cells: [(u32, u32); 2]| {
+            let checker = PlanChecker::new(w);
+            let (x, y) = (v(w, cells[0].0, cells[0].1), v(w, cells[1].0, cells[1].1));
+            let mut plan = Plan::new();
+            plan.add_agent(AgentState::idle(x));
+            plan.push_row([AgentState::idle(y)]);
+            plan.push_row([AgentState::idle(x)]);
+            let fresh = checker.check(&plan);
+            assert!(fresh.is_ok());
+            assert_eq!(checker.check_with_scratch(&plan, &mut scratch), fresh);
+        };
+        walk(&big, [(0, 0), (1, 0)]);
+        walk(&w, [(1, 0), (0, 0)]);
+        walk(&big, [(1, 0), (0, 0)]);
+        walk(&big, [(4, 2), (3, 2)]);
+        walk(&w, [(0, 0), (1, 0)]);
+        walk(&big, [(3, 2), (4, 2)]);
+        let top = big.graph().vertex_count() - 1;
+        assert!(scratch.occupied.len() > top);
+        assert!(scratch.occupied[top].0 < scratch.generation);
+    }
+
+    #[test]
+    fn violations_come_in_check_order() {
+        // One tick holding a vertex collision at t = 0, an edge swap whose
+        // first departure spilled into the overflow list, an illegal move
+        // and a drop-off away from a station.
+        let w = small_warehouse();
+        let checker = PlanChecker::new(&w);
+        let p0 = Carry::Product(ProductId(0));
         let mut plan = Plan::new();
-        plan.add_agent(AgentState::idle(v(&w, 0, 0)));
-        // Debug builds panic on entry; release builds drain defensively
-        // and the check proceeds normally.
-        let result = checker.check_with_scratch(&plan, &mut scratch);
-        assert!(result.is_ok());
+        for at in [(0, 0), (0, 0), (0, 1), (2, 0)] {
+            plan.add_agent(AgentState::idle(v(&w, at.0, at.1)));
+        }
+        plan.add_agent(AgentState {
+            at: v(&w, 2, 1),
+            carry: p0,
+        });
+        plan.push_row(
+            [(1, 0), (0, 1), (0, 0), (2, 2), (2, 1)].map(|(x, y)| AgentState::idle(v(&w, x, y))),
+        );
+        let err = checker.check(&plan).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "; agents 0 and 1 collide at v0 at t=0; \
+             agents 1 and 2 swap positions at t=0; \
+             agent 3 made illegal move v2->v7 at t=0; \
+             agent 4 illegal product handling at t=0: dropped ρ1 away from a station"
+        );
     }
 
     #[test]

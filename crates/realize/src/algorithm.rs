@@ -1,5 +1,7 @@
 //! The component-timestep realization algorithm (Algorithm 1).
 
+use std::collections::VecDeque;
+
 use wsp_flow::{AgentCycleSet, CycleAction};
 use wsp_model::{AgentState, Carry, Plan, ProductId, VertexId, Warehouse, Workload};
 use wsp_traffic::{ComponentId, TrafficSystem};
@@ -105,31 +107,48 @@ pub struct WindowOutcome {
     pub first_change: Vec<u32>,
 }
 
-/// Reusable scratch for [`realize`]: the per-timestep dense tables, the
-/// agent runtime states, and the remaining-stock ledger, kept across calls
-/// so repeated realizations (the staged pipeline evaluating one design
-/// candidate after another) are allocation-light — after the first call on
-/// a warehouse of a given size, a realization allocates only its outputs
-/// (the plan and the delivery counts).
+/// Reusable scratch for [`realize`]: the per-component conveyor queues,
+/// the agent runtime states, the dense stray and stock flags, and the
+/// remaining-stock ledger, kept across calls so repeated realizations (the
+/// staged pipeline evaluating one design candidate after another) are
+/// allocation-light — after the first call on a warehouse of a given size,
+/// a realization allocates only its outputs (the plan and the delivery
+/// counts).
 ///
-/// Invariant between calls: every dense entry is back at its sentinel (the
-/// touched lists are drained on entry and on exit), so one scratch can be
-/// reused across warehouses of different sizes; the tables are resized on
-/// entry.
+/// Between calls the per-vertex flags need no clearing pass: stray flags
+/// are cleared from the previous call's strays on entry (strays never
+/// move), and stock flags are call-stamped, so one scratch can be reused
+/// across warehouses of different sizes; the tables grow on entry.
 #[derive(Debug, Default)]
 pub struct RealizeScratch {
     agents: Vec<AgentRt>,
     stock: wsp_model::LocationMatrix,
-    occupant: Vec<u32>,
-    claimed: Vec<bool>,
-    vacated: Vec<bool>,
-    occupied_cells: Vec<u32>,
-    touched_cells: Vec<u32>,
-    by_component: Vec<Vec<usize>>,
-    moves: Vec<(usize, VertexId, bool)>,
-    move_hopped: Vec<bool>,
+    /// Per component, its non-stray residents exit-first (descending path
+    /// offset): a conveyor that pops hoppers at the front and pushes
+    /// arrivals at the back.
+    queues: Vec<VecDeque<u32>>,
+    /// Per component, the tail's path offset at the current tick's time
+    /// `t` ([`NO_TAIL`] when empty).
+    tails: Vec<u32>,
+    /// Per component, the tick stamp (`local_t + 1`) of the last hop that
+    /// claimed its entry.
+    entry_claims: Vec<u32>,
+    /// Per component, whether a stray is parked on its path.
+    has_stray: Vec<bool>,
+    /// Per vertex, whether a stray is parked there.
+    stray_at: Vec<bool>,
+    /// Per vertex, the stamp of the last call whose ledger stocked it when
+    /// the call started; a cell stamped otherwise holds nothing to pick.
+    stocked: Vec<u32>,
+    /// Stamp of the current call in `stocked`.
+    call: u32,
+    /// This tick's hops: the agent and the component it left.
+    hops: Vec<(u32, ComponentId)>,
     first_change: Vec<u32>,
 }
+
+/// [`RealizeScratch::tails`] entry of an empty component.
+const NO_TAIL: u32 = u32::MAX;
 
 impl RealizeScratch {
     /// A fresh, empty scratch (tables grow on first use).
@@ -137,25 +156,29 @@ impl RealizeScratch {
         RealizeScratch::default()
     }
 
-    /// Drains any marks a previous call left and sizes every table.
+    /// Clears the previous call's stray flags, sizes every table and
+    /// starts a new stock stamp.
     fn prepare(&mut self, n_vertices: usize, n_components: usize) {
-        const NO_AGENT: u32 = wsp_model::NO_INDEX;
-        for cell in self.occupied_cells.drain(..) {
-            self.occupant[cell as usize] = NO_AGENT;
+        for a in self.agents.iter().filter(|a| a.stray) {
+            self.stray_at[a.pos.index()] = false;
         }
-        for cell in self.touched_cells.drain(..) {
-            self.claimed[cell as usize] = false;
-            self.vacated[cell as usize] = false;
+        if self.stray_at.len() < n_vertices {
+            self.stray_at.resize(n_vertices, false);
+            self.stocked.resize(n_vertices, 0);
         }
-        self.occupant.resize(n_vertices, NO_AGENT);
-        self.claimed.resize(n_vertices, false);
-        self.vacated.resize(n_vertices, false);
-        if self.by_component.len() < n_components {
-            self.by_component.resize_with(n_components, Vec::new);
+        if self.queues.len() < n_components {
+            self.queues.resize_with(n_components, VecDeque::new);
+            self.tails.resize(n_components, NO_TAIL);
+            self.entry_claims.resize(n_components, 0);
+            self.has_stray.resize(n_components, false);
         }
+        if self.call == u32::MAX {
+            self.stocked.fill(0);
+            self.call = 0;
+        }
+        self.call += 1;
         self.agents.clear();
-        self.moves.clear();
-        self.move_hopped.clear();
+        self.hops.clear();
         self.first_change.clear();
     }
 }
@@ -475,12 +498,24 @@ struct TickRun {
 /// `workload`, if given, is fully delivered), recording each tick's states
 /// into `plan` and debiting executed pickups from `stock`.
 ///
-/// The per-vertex tables (occupancy, claims, vacations) are dense for
-/// O(1) indexing, but they are *cleared through occupancy-sized touched
-/// lists* rather than per-step memsets: only the ≤ agents entries written
-/// last step are reset, so the loop body is O(agents + components) per
-/// step — independent of the vertex count, which keeps realization viable
-/// on ~100k-vertex maps — and allocation-free after the first period.
+/// Each component is a conveyor: a queue of its residents, exit-first.
+/// Agents on one path move exit-first and never overtake, so a tick walks
+/// each queue once, front to back, keeping `limit`, the lowest path offset
+/// already taken at `t + 1`: an agent at offset `o` advances iff
+/// `o + 1 < limit` and no stray is parked on `path[o + 1]`. The exit agent
+/// instead hops to the next component's entry, at most once per cycle
+/// period, when that entry is free at time `t` (the next component's
+/// time-`t` tail is not at offset 0 and no stray is parked there) and no
+/// earlier hopper in traffic order claimed it this tick. Pickups and
+/// drop-offs run in the same walk at each agent's time-`t` cell (a cell
+/// holds one agent, so no two actions share a ledger entry). Hoppers
+/// change queues only after every component is walked, so none is
+/// stepped twice in one tick.
+///
+/// Strays (detached agents and agents off their component's path) are the
+/// only per-vertex input; they sit in no queue, never move and never act.
+/// The loop body is O(agents + components) per tick, independent of the
+/// vertex count, and allocation-free after the first period.
 #[allow(clippy::too_many_arguments)]
 fn run_ticks(
     warehouse: &Warehouse,
@@ -494,54 +529,61 @@ fn run_ticks(
     plan: &mut Plan,
     scratch: &mut RealizeScratch,
 ) -> TickRun {
-    const NO_AGENT: u32 = wsp_model::NO_INDEX;
     const NO_CHANGE: u32 = u32::MAX;
     let tc = cycles.cycle_time().max(1);
+    let n_components = traffic.component_count();
     let RealizeScratch {
         agents,
         stock: _,
-        occupant,
-        claimed,
-        vacated,
-        occupied_cells,
-        touched_cells,
-        by_component,
-        moves,
-        move_hopped,
+        queues,
+        tails,
+        entry_claims,
+        has_stray,
+        stray_at,
+        stocked,
+        call,
+        hops,
         first_change,
     } = scratch;
-    let n_agents = agents.len();
-    first_change.resize(n_agents, NO_CHANGE);
+    let (queues, tails, entry_claims, has_stray) = (
+        &mut queues[..n_components],
+        &mut tails[..n_components],
+        &mut entry_claims[..n_components],
+        &mut has_stray[..n_components],
+    );
+    first_change.resize(agents.len(), NO_CHANGE);
     first_change.fill(NO_CHANGE);
+    entry_claims.fill(0);
+    has_stray.fill(false);
+    for (v, _, _) in stock.iter() {
+        if let Some(stamp) = stocked.get_mut(v.index()) {
+            *stamp = *call;
+        }
+    }
 
     let mut pickup_misses = 0u64;
     let mut missed_advances = 0u64;
 
-    // Per-agent hop flag for this step (diagnostics).
-    move_hopped.resize(n_agents, false);
-
-    // Occupancy and per-component resident lists, built once and then
-    // maintained incrementally by the move-apply pass. Within a component
-    // agents share one path and move exit-first, so they can never overtake:
-    // the descending-offset order is invariant across ticks, a hop removes
-    // the front entry (the unique maximum offset) and enters the next list
-    // at the back (offset 0, the unique minimum).
-    for list in by_component.iter_mut() {
-        list.clear();
+    // Build the queues once; the walk and the hop pass keep them sorted.
+    for queue in queues.iter_mut() {
+        queue.clear();
     }
     for (idx, a) in agents.iter().enumerate() {
-        occupant[a.pos.index()] = idx as u32;
-        occupied_cells.push(a.pos.0);
-        // Strays block their cell but never move or act.
-        if !a.stray {
-            by_component[a.component.index()].push(idx);
+        if a.stray {
+            stray_at[a.pos.index()] = true;
+            if let Some((owner, _)) = traffic.locate(a.pos) {
+                has_stray[owner.index()] = true;
+            }
+        } else {
+            queues[a.component.index()].push_back(idx as u32);
         }
     }
-    for list in by_component.iter_mut() {
-        // Exit-first order: agents closest to the exit move first so
-        // followers can step into freshly vacated cells. Offsets are
-        // distinct (one agent per cell), so this order is unique.
-        list.sort_by_key(|&idx| std::cmp::Reverse(agents[idx].path_off));
+    for queue in queues.iter_mut() {
+        // Offsets are distinct (one agent per cell), so this order is
+        // unique.
+        queue
+            .make_contiguous()
+            .sort_unstable_by_key(|&idx| std::cmp::Reverse(agents[idx as usize].path_off));
     }
 
     let mut executed = 0usize;
@@ -552,134 +594,103 @@ fn run_ticks(
         }
         executed = local_t + 1;
         let period_start = ((t / tc) * tc) as i64;
+        // The window index of the state this tick writes, which is also
+        // this tick's entry-claim stamp.
+        let stamp = local_t as u32 + 1;
 
-        // Movement decisions.
-        for cell in touched_cells.drain(..) {
-            claimed[cell as usize] = false;
-            vacated[cell as usize] = false;
-        }
-        moves.clear();
-
-        for comp in traffic.components() {
-            let list = &by_component[comp.id().index()];
-            if list.is_empty() {
-                continue;
-            }
-            for &idx in list.iter() {
-                let a = &agents[idx];
-                // Hop to the next component of the agent cycle: only from
-                // the exit, at most once per cycle period (ADVANCE_T < ts),
-                // and only into an entry cell that is free *at time t* and
-                // unclaimed (conservative, order-independent).
-                if a.path_off as usize + 1 == comp.len() && a.advance_t < period_start {
-                    let cycle = &cycles.cycles()[a.cycle];
-                    let next_step = (a.step + 1) % cycle.steps().len();
-                    let next_comp = traffic.component(cycle.steps()[next_step].component);
-                    let entry = next_comp.entry();
-                    if !claimed[entry.index()] && occupant[entry.index()] == NO_AGENT {
-                        claimed[entry.index()] = true;
-                        vacated[a.pos.index()] = true;
-                        touched_cells.push(entry.0);
-                        touched_cells.push(a.pos.0);
-                        moves.push((idx, entry, true));
-                        continue;
-                    }
-                }
-                // Internal move along the component path (O(1) via the
-                // maintained offset).
-                if let Some(&v) = comp.path().get(a.path_off as usize + 1) {
-                    let blocked = claimed[v.index()]
-                        || (occupant[v.index()] != NO_AGENT && !vacated[v.index()]);
-                    if !blocked {
-                        claimed[v.index()] = true;
-                        vacated[a.pos.index()] = true;
-                        touched_cells.push(v.0);
-                        touched_cells.push(a.pos.0);
-                        moves.push((idx, v, false));
-                        continue;
-                    }
-                }
-                // Stay put; the cell remains occupied for followers.
-                claimed[a.pos.index()] = true;
-                touched_cells.push(a.pos.0);
-            }
+        for (tail, queue) in tails.iter_mut().zip(queues.iter()) {
+            *tail = queue
+                .back()
+                .map_or(NO_TAIL, |&idx| agents[idx as usize].path_off);
         }
 
-        // Apply actions (evaluated at the *time-t* position, recorded in
-        // the t+1 state, matching feasibility condition (3)) and movement.
-        move_hopped.fill(false);
-        for &(idx, _, hopped) in moves.iter() {
-            move_hopped[idx] = hopped;
-        }
-
-        for idx in 0..n_agents {
-            if agents[idx].stray {
-                continue;
-            }
-            let action = agents[idx].action;
-            let pos_t = agents[idx].pos;
-            match action {
-                CycleAction::Pickup(p) => {
-                    if agents[idx].carry.is_none() && stock.units_at(pos_t, p) > 0 {
-                        stock.remove_units(pos_t, p, 1);
-                        agents[idx].carry = Some(p);
-                        first_change[idx] = first_change[idx].min(local_t as u32 + 1);
-                    }
-                }
-                CycleAction::Dropoff(p) => {
-                    if agents[idx].carry == Some(p) && warehouse.is_station(pos_t) {
-                        agents[idx].carry = None;
-                        if p.index() < delivered.len() {
-                            delivered[p.index()] += 1;
+        for (comp, queue) in traffic.components().iter().zip(queues.iter()) {
+            let path = comp.path();
+            let strays_here = has_stray[comp.id().index()];
+            let mut limit = path.len() as u32;
+            for &idx in queue.iter() {
+                let a = &mut agents[idx as usize];
+                let changed = &mut first_change[idx as usize];
+                // Actions at the time-`t` cell, recorded in the `t + 1`
+                // state (feasibility condition (3)).
+                match a.action {
+                    CycleAction::Pickup(p) => {
+                        if a.carry.is_none()
+                            && stocked[a.pos.index()] == *call
+                            && stock.remove_units(a.pos, p, 1) == 1
+                        {
+                            a.carry = Some(p);
+                            *changed = (*changed).min(stamp);
                         }
-                        first_change[idx] = first_change[idx].min(local_t as u32 + 1);
+                    }
+                    CycleAction::Dropoff(p) => {
+                        if a.carry == Some(p) && warehouse.is_station(a.pos) {
+                            a.carry = None;
+                            if p.index() < delivered.len() {
+                                delivered[p.index()] += 1;
+                            }
+                            *changed = (*changed).min(stamp);
+                        }
+                    }
+                    CycleAction::Travel => {}
+                }
+                let off = a.path_off;
+                // Hop to the next component of the agent cycle: only from
+                // the exit, at most once per cycle period (ADVANCE_T < ts).
+                if off as usize + 1 == path.len() && a.advance_t < period_start {
+                    let steps = cycles.cycles()[a.cycle].steps();
+                    let next_step = (a.step + 1) % steps.len();
+                    let next = steps[next_step].component;
+                    let entry = traffic.component(next).entry();
+                    let n = next.index();
+                    if tails[n] != 0
+                        && entry_claims[n] != stamp
+                        && !(has_stray[n] && stray_at[entry.index()])
+                    {
+                        entry_claims[n] = stamp;
+                        // First-revolution diagnostics: hopping out of a
+                        // pickup step still empty-handed.
+                        if matches!(a.action, CycleAction::Pickup(_)) && a.carry.is_none() {
+                            pickup_misses += 1;
+                        }
+                        a.step = next_step;
+                        a.component = next;
+                        a.action = steps[next_step].action;
+                        a.advance_t = (t + 1) as i64;
+                        a.path_off = 0;
+                        a.pos = entry;
+                        *changed = (*changed).min(stamp);
+                        hops.push((idx, comp.id()));
+                        continue;
                     }
                 }
-                CycleAction::Travel => {}
-            }
-            // First-revolution diagnostics: hopping out of a pickup step
-            // still empty-handed.
-            if move_hopped[idx]
-                && matches!(action, CycleAction::Pickup(_))
-                && agents[idx].carry.is_none()
-            {
-                pickup_misses += 1;
+                // Internal move along the path.
+                if off + 1 < limit && !(strays_here && stray_at[path[off as usize + 1].index()]) {
+                    a.path_off = off + 1;
+                    a.pos = path[off as usize + 1];
+                    *changed = (*changed).min(stamp);
+                    limit = off + 1;
+                } else {
+                    limit = off;
+                }
             }
         }
 
-        // Release every vacated cell before recording re-occupations so a
-        // follower chain's old/new cells resolve in either order.
-        for &(idx, _, _) in moves.iter() {
-            occupant[agents[idx].pos.index()] = NO_AGENT;
+        // Hoppers leave the front of their old queue (they held its
+        // maximum offset) and join the back of their new one (offset 0,
+        // its unique minimum: the time-`t` tail was not at the entry).
+        for &(idx, from) in hops.iter() {
+            let left = queues[from.index()].pop_front();
+            debug_assert_eq!(left, Some(idx));
+            queues[agents[idx as usize].component.index()].push_back(idx);
         }
-        for &(idx, v, hopped) in moves.iter() {
-            first_change[idx] = first_change[idx].min(local_t as u32 + 1);
-            if hopped {
-                // The hopper holds the component's maximum offset, so it is
-                // the front entry of its (descending-sorted) resident list.
-                let a = &mut agents[idx];
-                debug_assert_eq!(by_component[a.component.index()].first(), Some(&idx));
-                by_component[a.component.index()].remove(0);
-                let steps = cycles.cycles()[a.cycle].steps();
-                a.step = (a.step + 1) % steps.len();
-                a.component = steps[a.step].component;
-                a.action = steps[a.step].action;
-                a.advance_t = (t + 1) as i64;
-                a.path_off = 0;
-                by_component[a.component.index()].push(idx);
-            } else {
-                agents[idx].path_off += 1;
-            }
-            agents[idx].pos = v;
-            occupant[v.index()] = idx as u32;
-        }
+        hops.clear();
 
         // Period-boundary diagnostic: every agent should have advanced one
         // component during the period that just ended.
         if (t + 1) % tc == 0 {
-            let this_period_start = period_start;
             for a in agents.iter() {
-                if !a.stray && a.advance_t <= this_period_start && t as i64 >= tc as i64 {
+                if !a.stray && a.advance_t <= period_start && t as i64 >= tc as i64 {
                     missed_advances += 1;
                 }
             }
@@ -692,19 +703,6 @@ fn run_ticks(
         }));
     }
 
-    // Restore the clean-tables invariant for the next reuse of the scratch
-    // (the loop leaves the final timestep's marks behind). Occupancy is
-    // maintained incrementally, so the live cells are the agents' current
-    // positions, not the entry-time `occupied_cells` snapshot.
-    for a in agents.iter() {
-        occupant[a.pos.index()] = NO_AGENT;
-    }
-    occupied_cells.clear();
-    for cell in touched_cells.drain(..) {
-        claimed[cell as usize] = false;
-        vacated[cell as usize] = false;
-    }
-
     TickRun {
         executed,
         pickup_misses,
@@ -713,10 +711,14 @@ fn run_ticks(
 }
 
 /// Validates the Property 4.1 preconditions and cycle well-formedness.
+///
+/// Occupancy is counted in one pass over every cycle step, then compared
+/// in component order, so the first over-capacity component is reported.
 fn validate_cycles(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Result<(), RealizeError> {
     // An arc (a, b) exists iff b is among a's outlets (small slices).
     let has_arc =
         |from: ComponentId, to: ComponentId| -> bool { traffic.outlets(from).contains(&to) };
+    let mut occupancy = vec![0usize; traffic.component_count()];
     for cycle in cycles.cycles() {
         if let Some(detail) = cycle.carry_inconsistency() {
             return Err(RealizeError::InconsistentCycle { detail });
@@ -728,6 +730,7 @@ fn validate_cycles(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Result<()
                     component: s.component,
                 });
             }
+            occupancy[s.component.index()] += 1;
             let next = steps[(i + 1) % steps.len()].component;
             if s.component == next && steps.len() == 1 && !has_arc(s.component, next) {
                 return Err(RealizeError::MissingArc {
@@ -743,8 +746,7 @@ fn validate_cycles(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Result<()
             }
         }
     }
-    for comp in traffic.components() {
-        let occupancy = cycles.occupancy(comp.id());
+    for (comp, &occupancy) in traffic.components().iter().zip(&occupancy) {
         if occupancy > comp.capacity() {
             return Err(RealizeError::CapacityExceeded {
                 component: comp.id(),
@@ -864,6 +866,45 @@ mod tests {
         let overloaded = AgentCycleSet::new(cycles, ts.cycle_time());
         let err = realize(&w, &ts, &overloaded, None, 10).unwrap_err();
         assert!(matches!(err, RealizeError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn first_over_capacity_component_is_reported() {
+        let (w, ts, _, _) = pipeline_fixture(1000, 3);
+        // Full-ring travel cycles that start at the last component, so the
+        // first over-capacity component in id order is not the first one
+        // the cycle steps name.
+        let last = ts.components().last().unwrap().id();
+        let mut ring = vec![last];
+        loop {
+            let next = ts.outlets(*ring.last().unwrap())[0];
+            if next == last {
+                break;
+            }
+            ring.push(next);
+        }
+        let over = ts.components().iter().map(|c| c.capacity()).max().unwrap() + 1;
+        let cycle = AgentCycle::new(
+            ring.iter()
+                .map(|&c| CycleStep {
+                    component: c,
+                    action: CycleAction::Travel,
+                })
+                .collect(),
+        );
+        let overloaded = AgentCycleSet::new(vec![cycle; over], ts.cycle_time());
+        assert!(ts.components().len() >= 2);
+        assert_ne!(ring[0], ts.components()[0].id());
+        let err = realize(&w, &ts, &overloaded, None, 10).unwrap_err();
+        let first = &ts.components()[0];
+        assert_eq!(
+            err,
+            RealizeError::CapacityExceeded {
+                component: first.id(),
+                occupancy: over,
+                capacity: first.capacity(),
+            }
+        );
     }
 
     #[test]
