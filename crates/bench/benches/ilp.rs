@@ -6,8 +6,8 @@ use wsp_flow::{synthesize_flow_with_scratch, FlowSynthesisOptions, IlpScratch};
 /// one. `cold` builds a fresh solver scratch per solve (the
 /// one-shot-caller cost); `warm` reuses one scratch across iterations, so
 /// every iteration after the first takes the cross-solve warm-start path
-/// (identical constraint skeleton → converged-basis reuse) that
-/// back-to-back candidate evaluations in `wsp-explore` hit.
+/// (identical problem → converged-basis reuse) that back-to-back
+/// evaluations of an identical problem in `wsp-explore` hit.
 fn bench_ilp(c: &mut Criterion) {
     let mut group = c.benchmark_group("ilp");
     group.sample_size(20);

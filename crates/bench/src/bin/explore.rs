@@ -1,8 +1,8 @@
 //! Standalone harness behind `BENCH_explore.json`: measures the design
 //! explorer's batch throughput (candidates/sec) on the default 20-candidate
 //! sorting-center sweep at 1, 2, 4, and all available worker threads, and
-//! cross-checks the determinism invariant (byte-identical fingerprints at
-//! every thread count). Prints the JSON body to stdout:
+//! cross-checks the determinism invariant (byte-identical `to_json`
+//! renderings at every thread count). Prints the JSON body to stdout:
 //!
 //! ```text
 //! cargo run --release -p wsp-bench --bin explore > BENCH_explore.json
@@ -20,7 +20,7 @@ fn main() {
         points.push(cores);
     }
 
-    let mut fingerprints: Vec<String> = Vec::new();
+    let mut renderings: Vec<String> = Vec::new();
     let mut rows: Vec<(usize, f64, f64, usize, usize)> = Vec::new();
     for &threads in &points {
         let options = ExploreOptions {
@@ -29,7 +29,7 @@ fn main() {
         };
         // Warm-up run (also the determinism probe), then timed runs.
         let probe = evaluate_batch(&candidates, &options);
-        fingerprints.push(probe.fingerprint());
+        renderings.push(probe.to_json());
         let samples = 3;
         let t0 = Instant::now();
         for _ in 0..samples {
@@ -48,7 +48,7 @@ fn main() {
                 .count(),
         ));
     }
-    let deterministic = fingerprints.windows(2).all(|w| w[0] == w[1]);
+    let deterministic = renderings.windows(2).all(|w| w[0] == w[1]);
     let per_sec_at = |t: usize| rows.iter().find(|r| r.0 == t).map(|r| r.2);
     let speedup_4t = match (per_sec_at(4), per_sec_at(1)) {
         (Some(four), Some(one)) if one > 0.0 => four / one,
@@ -57,7 +57,7 @@ fn main() {
 
     println!("{{");
     println!(
-        "  \"note\": \"Design-explorer throughput on the default 20-candidate sorting-center sweep (160 units, T=3600). candidates_per_sec = 20 / mean batch seconds over 3 runs after warm-up. 'deterministic' asserts byte-identical fingerprints (outcomes + Pareto front) across every thread count. Thread scaling is hardware-bound: on a host with available_cores = 1 every point measures the same serialized work and speedup_4t_vs_1t ~ 1.0 only proves the work queue adds no overhead; the >= 3x target at 4 threads needs >= 4 physical cores (candidates are independent, so scaling is embarrassingly parallel). Regenerate with: cargo run --release -p wsp-bench --bin explore > BENCH_explore.json. Schema: docs/BENCHMARKS.md.\","
+        "  \"note\": \"Design-explorer throughput on the default 20-candidate sorting-center sweep (160 units, T=3600). candidates_per_sec = 20 / mean batch seconds over 3 runs after warm-up. 'deterministic' asserts byte-identical to_json renderings (outcomes + Pareto front) across every thread count. Thread scaling is hardware-bound: on a host with available_cores = 1 every point measures the same serialized work and speedup_4t_vs_1t ~ 1.0 only proves the work queue adds no overhead; the >= 3x target at 4 threads needs >= 4 physical cores (candidates are independent, so scaling is embarrassingly parallel). Regenerate with: cargo run --release -p wsp-bench --bin explore > BENCH_explore.json. Schema: docs/BENCHMARKS.md.\","
     );
     println!("  \"available_cores\": {cores},");
     println!("  \"sweep_candidates\": {},", candidates.len());

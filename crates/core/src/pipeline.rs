@@ -94,8 +94,8 @@ pub type VerifiedReport = PipelineReport;
 /// The staged pipeline engine. One `Pipeline` holds the preallocated
 /// realization and verification scratch tables plus the ILP solver
 /// scratch (basis factors, pricing workspace, and the warm-start state
-/// the flow synthesizer reuses across candidates that share a constraint
-/// skeleton); keep it per thread (it is `Send`, and every stage method
+/// the flow synthesizer reuses when the next problem is identical); keep
+/// it per thread (it is `Send`, and every stage method
 /// takes the instance by `&`) and feed it instances back to back for
 /// allocation-light batch evaluation.
 #[derive(Debug, Default)]
@@ -317,9 +317,9 @@ const _: () = {
     assert_send_sync::<AgentSnapshot>();
     assert_send_sync::<WindowOutcome>();
     // The event-driven simulator hands whole realize scratches (and the
-    // window plans realized through them, `first_change` schedule
-    // included) to worker pipelines; its own queue/scheduler types are
-    // audited in `wsp_sim`'s mirror of this block.
+    // window plans realized through them) to worker pipelines; its own
+    // queue/scheduler types are audited in `wsp_sim`'s mirror of this
+    // block.
     assert_send_sync::<wsp_realize::RealizeScratch>();
     // The solver scratches live inside each worker's `Pipeline` and cross
     // the thread boundary with it.

@@ -43,14 +43,18 @@ impl DesignCandidate {
 /// paper geometry) station placement — the knobs the paper's §IV-A leaves
 /// to the designer.
 ///
-/// The lane-chop axis straddles the Property 4.1 capacity boundary on
-/// purpose: 90 reproduces the paper's three-component ring (entry
-/// capacities 41/41/37 against the 36 per-period loaded crossings a
-/// 36-product workload forces), 200 merges the whole aisle ladder into
-/// one long component (double the cycle time, double the capacity
-/// headroom, a smaller ILP) — so the explorer sees real feasible
-/// trade-offs rather than one dominant design, and designs chopped below
-/// the boundary correctly come back [`Infeasible`].
+/// The lane-chop axis trades cycle time against capacity headroom: 90
+/// reproduces the paper's three-component ring (entry capacities 41/41/37
+/// against the 36 per-period loaded crossings a 36-product workload
+/// forces), 200 merges the whole aisle ladder into one long component
+/// (double the cycle time, double the capacity headroom, a smaller ILP) —
+/// so the explorer sees real feasible trade-offs rather than one dominant
+/// design. Neither length chops below the Property 4.1 capacity boundary:
+/// every design solves at 80 and at 320 units (the umbrella test
+/// `tests/realize_differential.rs` realizes all 40), so at those sizes the
+/// sweep yields no [`Infeasible`] outcome;
+/// `impossible_workloads_report_infeasible` in `evaluate.rs` covers that
+/// path.
 ///
 /// The sweep is a fixed, deterministic list: benchmarks and the
 /// determinism tests rely on it never depending on ambient state.

@@ -185,21 +185,6 @@ pub struct ExploreOutcome {
 }
 
 impl ExploreOutcome {
-    /// A byte-reproducible digest of the deterministic results: candidate
-    /// labels, outcomes, and the Pareto front — everything except
-    /// wall-clock state. Two runs over the same candidates must produce
-    /// identical fingerprints at any thread count; the determinism tests
-    /// compare exactly this.
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for r in &self.reports {
-            let _ = writeln!(out, "{}: {:?}", r.candidate.label(), r.outcome);
-        }
-        let _ = writeln!(out, "front: {:?}", self.front);
-        out
-    }
-
     /// The report of the best solved candidate: the front member with the
     /// lexicographically smallest (agents, makespan, synthesis cost).
     pub fn best(&self) -> Option<&CandidateReport> {
@@ -414,8 +399,9 @@ fn simulate_candidate(
 ///
 /// Each worker owns one [`Pipeline`] (realization/verification scratch
 /// plus the ILP solver scratch — basis factors and pricing workspace —
-/// are reused across the candidates it pulls, and candidates sharing a
-/// constraint skeleton warm-start the simplex) and claims work off a
+/// are reused across the candidates it pulls, and a candidate whose
+/// problem is identical to the previous one warm-starts the simplex) and
+/// claims work off a
 /// shared atomic counter, so an expensive candidate never stalls the rest
 /// of the batch behind it. Results land in their candidate's slot,
 /// keeping the output a pure function of the input regardless of
@@ -606,7 +592,7 @@ mod tests {
         };
         let one = evaluate_batch(&candidates, &scored(1));
         let two = evaluate_batch(&candidates, &scored(2));
-        assert_eq!(one.fingerprint(), two.fingerprint());
+        assert_eq!(one.to_json(), two.to_json());
         for r in &one.reports {
             let eval = r.outcome.eval().expect("tiny candidates solve");
             let sim = eval.sim.as_ref().expect("lifelong scoring on");
@@ -651,7 +637,7 @@ mod tests {
         };
         let one = evaluate_batch(&candidates, &scored(1));
         let two = evaluate_batch(&candidates, &scored(2));
-        assert_eq!(one.fingerprint(), two.fingerprint());
+        assert_eq!(one.to_json(), two.to_json());
         for r in &one.reports {
             let eval = r.outcome.eval().expect("tiny candidates solve");
             let sim = eval.sim.as_ref().expect("lifelong scoring on");
@@ -707,7 +693,6 @@ mod tests {
         let control = RunControl::new();
         let with = evaluate_batch_with(&candidates, &tiny_options(2), &control);
         let without = evaluate_batch(&candidates, &tiny_options(1));
-        assert_eq!(with.fingerprint(), without.fingerprint());
         assert_eq!(with.to_json(), without.to_json());
         assert_eq!(control.progress(), candidates.len() as u64);
     }
@@ -717,6 +702,6 @@ mod tests {
         let outcome = evaluate_batch(&[], &tiny_options(4));
         assert!(outcome.reports.is_empty());
         assert!(outcome.front.is_empty());
-        assert!(outcome.fingerprint().contains("front: []"));
+        assert!(outcome.to_json().starts_with("{\n  \"front\": [],"));
     }
 }

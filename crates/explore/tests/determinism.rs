@@ -57,8 +57,8 @@ proptest! {
         for threads in [2usize, 4] {
             let other = evaluate_batch(&candidates, &tiny_options(threads));
             prop_assert_eq!(
-                base.fingerprint(),
-                other.fingerprint(),
+                base.to_json(),
+                other.to_json(),
                 "{} threads diverged from 1 thread",
                 threads
             );
@@ -109,13 +109,13 @@ fn fixed_mixed_set_is_thread_count_independent() {
     let one = evaluate_batch(&candidates, &options(1));
     let two = evaluate_batch(&candidates, &options(2));
     let four = evaluate_batch(&candidates, &options(4));
-    assert_eq!(one.fingerprint(), two.fingerprint());
-    assert_eq!(one.fingerprint(), four.fingerprint());
+    assert_eq!(one.to_json(), two.to_json());
+    assert_eq!(one.to_json(), four.to_json());
     assert_eq!(one.threads, 1);
     assert_eq!(two.threads, 2);
     assert_eq!(four.threads, 4);
     assert!(!one.front.is_empty());
-    assert!(one.fingerprint().contains("Failed"));
+    assert!(one.to_json().contains("\"outcome\": \"failed\""));
 }
 
 #[test]

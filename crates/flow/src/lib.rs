@@ -216,10 +216,12 @@ pub fn synthesize_flow(
 
 /// [`synthesize_flow`] with a caller-owned solver scratch
 /// ([`IlpScratch`]): back-to-back syntheses reuse the simplex basis
-/// factors and pricing workspace, and candidates that share a constraint
-/// skeleton warm-start from the previous converged basis. This is the
-/// entry point `wsp_core::Pipeline` threads its per-pipeline scratch
-/// through.
+/// factors and pricing workspace. The previous converged basis is reused
+/// only when the whole solve input (matrix, relations, right-hand sides,
+/// objective and bounds) fingerprints the same, that is, for an identical
+/// problem; candidates that differ in any of it solve from a cold root.
+/// This is the entry point `wsp_core::Pipeline` threads its per-pipeline
+/// scratch through.
 ///
 /// # Errors
 ///

@@ -25,8 +25,7 @@
 //!   is a handful of dual pivots instead of a two-phase cold solve.
 //!   [`LpScratch`] additionally remembers the converged basis keyed by a
 //!   fingerprint of the full problem data, so re-solving an identical
-//!   problem (the cross-candidate shared-skeleton case) is a zero-pivot
-//!   confirmation.
+//!   problem is a zero-pivot confirmation.
 //!
 //! Everything here is deterministic: pricing scans in index order,
 //! tie-breaks are by index or magnitude, and no hashing of addresses or
@@ -582,8 +581,8 @@ impl Factor {
 /// when the next problem's full data fingerprint matches the previous one
 /// (re-solving an identical problem), where the warm start provably
 /// returns the same optimum — that gate is what lets the explorer keep its
-/// byte-identical determinism contract while repeated evaluations of a
-/// shared constraint skeleton skip straight to a zero-pivot confirmation.
+/// byte-identical determinism contract while a repeated solve of an
+/// identical problem skips straight to a zero-pivot confirmation.
 #[derive(Debug, Default)]
 pub struct LpScratch {
     // Standardized problem (rebuilt per load). Columns: structural

@@ -71,13 +71,6 @@ pub struct AgentSnapshot {
     /// Absolute timestep at which the agent last entered a component
     /// (`-1` allows a hop in the very first period).
     pub advance_t: i64,
-    /// Detached from cycle execution: the realization treats the agent
-    /// exactly like a stray — parked in place as a static obstacle for
-    /// the whole window, moving nothing and counting toward no
-    /// diagnostics — even when it sits on its component's path. Set by
-    /// callers that drive the agent outside the window plan (the
-    /// simulator's auction missions) while keeping the replan cadence.
-    pub detached: bool,
 }
 
 /// The result of realizing one rolling-horizon window from a set of
@@ -98,13 +91,6 @@ pub struct WindowOutcome {
     pub missed_advances: u64,
     /// Pickup steps hopped out of empty-handed during this window.
     pub pickup_misses: u64,
-    /// Per agent, the first window index `k ≥ 1` whose planned state
-    /// (position or carry) differs from the snapshot state at index 0, or
-    /// `u32::MAX` if the agent is scheduled to sit still, unchanged, for
-    /// the whole window. This is each [`AgentSnapshot`]'s *next scheduled
-    /// state change*: an event-driven executor may provably skip the agent
-    /// for the first `first_change - 1` ticks of an on-schedule window.
-    pub first_change: Vec<u32>,
 }
 
 /// Reusable scratch for [`realize`]: the per-component conveyor queues,
@@ -112,8 +98,8 @@ pub struct WindowOutcome {
 /// remaining-stock ledger, kept across calls so repeated realizations (the
 /// staged pipeline evaluating one design candidate after another) are
 /// allocation-light — after the first call on a warehouse of a given size,
-/// a realization allocates only its outputs (the plan and the delivery
-/// counts).
+/// a realization allocates only its outputs (the plan, the delivery counts
+/// and a window's final states).
 ///
 /// Between calls the per-vertex flags need no clearing pass: stray flags
 /// are cleared from the previous call's strays on entry (strays never
@@ -144,7 +130,6 @@ pub struct RealizeScratch {
     call: u32,
     /// This tick's hops: the agent and the component it left.
     hops: Vec<(u32, ComponentId)>,
-    first_change: Vec<u32>,
 }
 
 /// [`RealizeScratch::tails`] entry of an empty component.
@@ -179,7 +164,6 @@ impl RealizeScratch {
         self.call += 1;
         self.agents.clear();
         self.hops.clear();
-        self.first_change.clear();
     }
 }
 
@@ -291,7 +275,6 @@ fn place(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Vec<AgentSnapshot> 
                 pos: comp.path()[j],
                 carry: None,
                 advance_t: -1,
-                detached: false,
             });
         }
     }
@@ -372,16 +355,12 @@ pub fn realize_window_with_scratch(
     let final_states = scratch
         .agents
         .iter()
-        .zip(states)
-        .map(|(a, s)| AgentSnapshot {
+        .map(|a| AgentSnapshot {
             cycle: a.cycle,
             step: a.step,
             pos: a.pos,
             carry: a.carry,
             advance_t: a.advance_t,
-            // Detachment is the caller's flag, not execution state:
-            // carry it through unchanged.
-            detached: s.detached,
         })
         .collect();
 
@@ -392,7 +371,6 @@ pub fn realize_window_with_scratch(
         final_states,
         missed_advances: run.missed_advances,
         pickup_misses: run.pickup_misses,
-        first_change: scratch.first_change.clone(),
     })
 }
 
@@ -423,7 +401,7 @@ fn load_snapshots(
             path_off: located.map_or(0, |(_, off)| off),
             advance_t: s.advance_t,
             carry: s.carry,
-            stray: s.detached || located.is_none(),
+            stray: located.is_none(),
         });
         plan.add_agent(AgentState {
             at: s.pos,
@@ -512,8 +490,8 @@ struct TickRun {
 /// change queues only after every component is walked, so none is
 /// stepped twice in one tick.
 ///
-/// Strays (detached agents and agents off their component's path) are the
-/// only per-vertex input; they sit in no queue, never move and never act.
+/// Strays (agents off their own component's path) are the only per-vertex
+/// input; they sit in no queue, never move and never act.
 /// The loop body is O(agents + components) per tick, independent of the
 /// vertex count, and allocation-free after the first period.
 #[allow(clippy::too_many_arguments)]
@@ -529,7 +507,6 @@ fn run_ticks(
     plan: &mut Plan,
     scratch: &mut RealizeScratch,
 ) -> TickRun {
-    const NO_CHANGE: u32 = u32::MAX;
     let tc = cycles.cycle_time().max(1);
     let n_components = traffic.component_count();
     let RealizeScratch {
@@ -543,7 +520,6 @@ fn run_ticks(
         stocked,
         call,
         hops,
-        first_change,
     } = scratch;
     let (queues, tails, entry_claims, has_stray) = (
         &mut queues[..n_components],
@@ -551,8 +527,6 @@ fn run_ticks(
         &mut entry_claims[..n_components],
         &mut has_stray[..n_components],
     );
-    first_change.resize(agents.len(), NO_CHANGE);
-    first_change.fill(NO_CHANGE);
     entry_claims.fill(0);
     has_stray.fill(false);
     for (v, _, _) in stock.iter() {
@@ -594,8 +568,7 @@ fn run_ticks(
         }
         executed = local_t + 1;
         let period_start = ((t / tc) * tc) as i64;
-        // The window index of the state this tick writes, which is also
-        // this tick's entry-claim stamp.
+        // This tick's entry-claim stamp (never 0, the tables' reset value).
         let stamp = local_t as u32 + 1;
 
         for (tail, queue) in tails.iter_mut().zip(queues.iter()) {
@@ -610,7 +583,6 @@ fn run_ticks(
             let mut limit = path.len() as u32;
             for &idx in queue.iter() {
                 let a = &mut agents[idx as usize];
-                let changed = &mut first_change[idx as usize];
                 // Actions at the time-`t` cell, recorded in the `t + 1`
                 // state (feasibility condition (3)).
                 match a.action {
@@ -620,7 +592,6 @@ fn run_ticks(
                             && stock.remove_units(a.pos, p, 1) == 1
                         {
                             a.carry = Some(p);
-                            *changed = (*changed).min(stamp);
                         }
                     }
                     CycleAction::Dropoff(p) => {
@@ -629,7 +600,6 @@ fn run_ticks(
                             if p.index() < delivered.len() {
                                 delivered[p.index()] += 1;
                             }
-                            *changed = (*changed).min(stamp);
                         }
                     }
                     CycleAction::Travel => {}
@@ -659,7 +629,6 @@ fn run_ticks(
                         a.advance_t = (t + 1) as i64;
                         a.path_off = 0;
                         a.pos = entry;
-                        *changed = (*changed).min(stamp);
                         hops.push((idx, comp.id()));
                         continue;
                     }
@@ -668,7 +637,6 @@ fn run_ticks(
                 if off + 1 < limit && !(strays_here && stray_at[path[off as usize + 1].index()]) {
                     a.path_off = off + 1;
                     a.pos = path[off as usize + 1];
-                    *changed = (*changed).min(stamp);
                     limit = off + 1;
                 } else {
                     limit = off;
@@ -715,9 +683,6 @@ fn run_ticks(
 /// Occupancy is counted in one pass over every cycle step, then compared
 /// in component order, so the first over-capacity component is reported.
 fn validate_cycles(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Result<(), RealizeError> {
-    // An arc (a, b) exists iff b is among a's outlets (small slices).
-    let has_arc =
-        |from: ComponentId, to: ComponentId| -> bool { traffic.outlets(from).contains(&to) };
     let mut occupancy = vec![0usize; traffic.component_count()];
     for cycle in cycles.cycles() {
         if let Some(detail) = cycle.carry_inconsistency() {
@@ -731,14 +696,10 @@ fn validate_cycles(traffic: &TrafficSystem, cycles: &AgentCycleSet) -> Result<()
                 });
             }
             occupancy[s.component.index()] += 1;
+            // Every step hops to the next one's component, a repeated
+            // component included, so every step needs its arc.
             let next = steps[(i + 1) % steps.len()].component;
-            if s.component == next && steps.len() == 1 && !has_arc(s.component, next) {
-                return Err(RealizeError::MissingArc {
-                    from: s.component,
-                    to: next,
-                });
-            }
-            if s.component != next && !has_arc(s.component, next) {
+            if !traffic.outlets(s.component).contains(&next) {
                 return Err(RealizeError::MissingArc {
                     from: s.component,
                     to: next,
@@ -1061,23 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn first_change_names_the_next_scheduled_state_change() {
-        let (w, ts, cycles, _) = pipeline_fixture(1000, 8);
-        let states = initial_snapshots(&ts, &cycles).unwrap();
-        let mut stock = w.location_matrix().clone();
-        let out = realize_window(&w, &ts, &cycles, 0, 40, &states, &mut stock).unwrap();
-        assert_eq!(out.first_change.len(), states.len());
-        for a in 0..states.len() {
-            let s0 = out.plan.state(a, 0).unwrap();
-            let scan = (1..=40).find(|&k| out.plan.state(a, k).unwrap() != s0);
-            let expect = scan.map_or(u32::MAX, |k| k as u32);
-            assert_eq!(out.first_change[a], expect, "agent {a}");
-        }
-        // At least someone is scheduled to do something in 40 ticks.
-        assert!(out.first_change.iter().any(|&k| k != u32::MAX));
-    }
-
-    #[test]
     fn stray_snapshots_park_as_obstacles() {
         let (w, ts, cycles, _) = pipeline_fixture(1000, 8);
         let mut states = initial_snapshots(&ts, &cycles).unwrap();
@@ -1103,33 +1047,6 @@ mod tests {
         }
         assert_eq!(out.final_states[0].pos, stray_pos);
         // The emitted window is still collision-free.
-        wsp_model::PlanChecker::new(&w).check(&out.plan).unwrap();
-    }
-
-    #[test]
-    fn detached_snapshots_realize_as_a_constant_window() {
-        let (w, ts, cycles, _) = pipeline_fixture(1000, 8);
-        let mut states = initial_snapshots(&ts, &cycles).unwrap();
-        for s in &mut states {
-            s.detached = true;
-        }
-        let mut stock = w.location_matrix().clone();
-        let before = stock.clone();
-        let out = realize_window(&w, &ts, &cycles, 0, 24, &states, &mut stock).unwrap();
-        // Every agent parks for the whole window (on-path positions and
-        // all): no moves, no pickups, no first change ever scheduled.
-        for (a, s0) in states.iter().enumerate() {
-            for k in 0..=24 {
-                let s = out.plan.state(a, k).unwrap();
-                assert_eq!(s.at, s0.pos, "agent {a} moved at k={k}");
-                assert_eq!(s.carry, Carry::Empty, "agent {a} acted at k={k}");
-            }
-            assert_eq!(out.first_change[a], u32::MAX, "agent {a}");
-        }
-        assert!(out.delivered.iter().all(|&d| d == 0));
-        assert_eq!(stock, before, "detached agents must not touch stock");
-        // Detachment survives the round-trip into final states.
-        assert!(out.final_states.iter().all(|s| s.detached));
         wsp_model::PlanChecker::new(&w).check(&out.plan).unwrap();
     }
 

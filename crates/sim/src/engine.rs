@@ -53,7 +53,9 @@
 //! the pipeline's realize stage from them
 //! ([`Pipeline::realize_window`]) — deviation divergence heals at every
 //! replan, and in a deviation-free run the windows concatenate to exactly
-//! the one-shot realization (the differential tests pin this).
+//! the one-shot realization (the differential tests pin this). Under
+//! `Auction` no agent follows the window plan, so a replan keeps only the
+//! cadence (everyone wakes, cursors reset) and realizes nothing.
 //!
 //! # Parts and phase functions
 //!
@@ -64,11 +66,12 @@
 //! * `Floor` — occupancy, outages and closures, grant-pass scratch.
 //!   `Floor::closed` is the one closed-cell view; `Floor::grant` is the
 //!   movement phase's grant pass.
-//! * `Scheduler` — sleep ledger, bucket queue, active set and the
-//!   window's `first_change`. `Scheduler::pop_due` runs due events;
+//! * `Scheduler` — sleep ledger, bucket queue and active set.
+//!   `Scheduler::pop_due` runs due events;
 //!   `Scheduler::wake` is the one wake path and never touches the
 //!   auction (callers that change its inputs mark it dirty).
-//! * `Window` — the window plan and every agent's cursor into it.
+//! * `Window` — the window plan (empty under `Auction`) and every agent's
+//!   cursor into it.
 //! * `RepairScratch` — requests, projection and reservation table for
 //!   `Simulation::try_repairs`.
 //! * the auction (`AuctionState`, present exactly under `Auction`), with
@@ -86,8 +89,8 @@
 //! time-ordered event queue instead of sweeping every agent every tick.
 //! Agents whose next ticks are provably no-ops under the reference loop
 //! go to sleep ([`crate::event`] states the exact contract) with a
-//! wake-up — their next scheduled state change, read straight off the
-//! window realization's `first_change` schedule — filed in a monotone
+//! wake-up — their next scheduled state change, found by scanning the
+//! window plan forward from their cursor — filed in a monotone
 //! bucket queue ([`crate::queue`]); each executed tick then runs phases
 //! 1–6 over the *active set* only, and when the active set is empty the
 //! engine advances time directly to the next forced tick (queued event,
@@ -563,14 +566,10 @@ impl Window {
 
     /// Length of agent `a`'s *silent run*: the smallest `j ≥ 1` whose plan
     /// state differs from the cursor's in position or carry (`None`: none
-    /// before the window's end). At cursor 0 that is the realize stage's
-    /// `first_change`; otherwise an amortized-O(1) forward scan.
-    fn silent_run_len(&self, a: usize, pos: VertexId, first_change: u32) -> Option<usize> {
+    /// before the window's end), by an amortized-O(1) forward scan.
+    fn silent_run_len(&self, a: usize, pos: VertexId) -> Option<usize> {
         let cursor = self.cursor[a];
         debug_assert!(cursor < self.len);
-        if cursor == 0 {
-            return (first_change != u32::MAX).then_some(first_change as usize);
-        }
         let carry = self.state(a, cursor).carry;
         (1..=self.len - cursor).find(|&j| {
             let s = self.state(a, cursor + j);
@@ -588,7 +587,6 @@ pub(crate) struct Scheduler {
     queue: BucketQueue,
     active: Vec<u32>,
     due_buf: Vec<u64>,
-    first_change: Vec<u32>,
     engine: SimEngine,
     /// Agents follow the window plan (`Static`), so slept plan lag banks
     /// into `max_lag`; under `Auction` it stays 0 by configured policy.
@@ -863,7 +861,6 @@ impl<'a> Simulation<'a> {
                 queue: BucketQueue::new(window_len),
                 active: Vec::with_capacity(agents),
                 due_buf: Vec::with_capacity(16),
-                first_change: Vec::new(),
                 engine: config.engine,
                 plan_lag: config.assign.policy == AssignPolicy::Static,
             },
@@ -1101,8 +1098,9 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Snapshot the *actual* runtime state and realize the next window
-    /// from it through the pipeline's realize stage.
+    /// Starts a new window at the current tick: wakes everyone and, for
+    /// plan followers, snapshots the *actual* runtime state and realizes
+    /// the window from it through the pipeline's realize stage.
     fn replan(&mut self) -> Result<(), SimError> {
         let t = self.t;
         // Bank the lazily folded sleep lag before the ledger reset (the
@@ -1113,12 +1111,19 @@ impl<'a> Simulation<'a> {
             .max(self.sched.pending_lag(t, &self.win));
         self.sched.sleep.reset();
         self.sched.queue.clear(t);
-        // Auction agents execute missions, not the window plan, so the
-        // window realizes with every agent detached (parked) while the
-        // replan cadence keeps running. Waking everyone dirties the pool.
-        let detached = self.auction.is_some();
+        self.win.start = t;
+        self.win.cursor.fill(0);
+        self.last_replan = t;
+        self.replan_requested = false;
+        self.counters.replans += 1;
+        self.counters.events_processed += 1;
         if let Some(auc) = self.auction.as_deref_mut() {
+            // Auction agents execute missions, never the window plan, so
+            // the replan keeps only its cadence and the plan stays the
+            // empty one built at construction. Waking everyone dirties the
+            // pool.
             auc.dirty = true;
+            return Ok(());
         }
         let fleet = &self.fleet;
         let snapshots: Vec<AgentSnapshot> = (0..fleet.pos.len())
@@ -1128,7 +1133,6 @@ impl<'a> Simulation<'a> {
                 pos: fleet.pos[a],
                 carry: fleet.carry[a],
                 advance_t: fleet.advance_t[a],
-                detached,
             })
             .collect();
         self.plan_ledger.clone_from(&self.ledger);
@@ -1141,13 +1145,6 @@ impl<'a> Simulation<'a> {
             &mut self.plan_ledger,
         )?;
         self.win.plan = out.plan;
-        self.win.start = t;
-        self.win.cursor.fill(0);
-        self.sched.first_change = out.first_change;
-        self.last_replan = t;
-        self.replan_requested = false;
-        self.counters.replans += 1;
-        self.counters.events_processed += 1;
         // Repairs of on-component agents are healed by the replan itself;
         // off-component agents keep their detour but now rejoin as strays
         // (park until the next replan re-anchors them).
@@ -1535,9 +1532,7 @@ impl<'a> Simulation<'a> {
             // tick, so it stays awake.) A silent run of 1 means the next
             // tick changes state; with no change before the window's end,
             // the boundary replan wakes it (its lag can't cross first).
-            let run = self
-                .win
-                .silent_run_len(a, self.fleet.pos[a], self.sched.first_change[a]);
+            let run = self.win.silent_run_len(a, self.fleet.pos[a]);
             if run != Some(1) {
                 self.sleep(a, SleepMode::Silent, run.map(|j| t + j as u64 - 1));
             }

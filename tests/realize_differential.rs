@@ -7,8 +7,8 @@
 //! run afterwards at the time-`t` cells, then all moves apply at once. It
 //! is rebuilt here over public types only (snapshots, `traffic.locate`,
 //! cycle steps, the stock ledger), and every library output must equal it
-//! field by field: plan rows, deliveries, final states, first changes,
-//! diagnostics and the caller's ledger.
+//! field by field: plan rows, deliveries, final states, diagnostics and the
+//! caller's ledger.
 
 use proptest::prelude::*;
 use wsp_flow::{
@@ -18,7 +18,7 @@ use wsp_model::{
     AgentState, Carry, Direction, GridMap, LocationMatrix, Plan, PlanChecker, ProductCatalog,
     ProductId, VertexId, Warehouse, Workload,
 };
-use wsp_realize::{initial_snapshots, realize, realize_window, AgentSnapshot};
+use wsp_realize::{initial_snapshots, realize, realize_window, AgentSnapshot, RealizeError};
 use wsp_traffic::{ComponentId, TrafficSystem, TrafficSystemBuilder};
 
 /// What the reference stepping produced.
@@ -27,7 +27,6 @@ struct Reference {
     delivered: Vec<u64>,
     executed: usize,
     final_states: Vec<AgentSnapshot>,
-    first_change: Vec<u32>,
     missed_advances: u64,
     pickup_misses: u64,
 }
@@ -72,7 +71,7 @@ fn reference(
             RefAgent {
                 snap: *s,
                 path_off: located.map_or(0, |(_, off)| off),
-                stray: s.detached || located.is_none(),
+                stray: located.is_none(),
             }
         })
         .collect();
@@ -94,7 +93,6 @@ fn reference(
     }
 
     let mut delivered = vec![0u64; warehouse.catalog().len()];
-    let mut first_change = vec![u32::MAX; agents.len()];
     let (mut pickup_misses, mut missed_advances, mut executed) = (0u64, 0u64, 0usize);
     let mut claimed = vec![false; n];
     let mut vacated = vec![false; n];
@@ -155,7 +153,6 @@ fn reference(
                     if a.snap.carry.is_none() && stock.units_at(pos, p) > 0 {
                         stock.remove_units(pos, p, 1);
                         a.snap.carry = Some(p);
-                        first_change[idx] = first_change[idx].min(local_t as u32 + 1);
                     }
                 }
                 CycleAction::Dropoff(p) => {
@@ -164,7 +161,6 @@ fn reference(
                         if p.index() < delivered.len() {
                             delivered[p.index()] += 1;
                         }
-                        first_change[idx] = first_change[idx].min(local_t as u32 + 1);
                     }
                 }
                 CycleAction::Travel => {}
@@ -179,7 +175,6 @@ fn reference(
             occupant[agents[idx].snap.pos.index()] = NONE;
         }
         for &(idx, v, hop) in &moves {
-            first_change[idx] = first_change[idx].min(local_t as u32 + 1);
             let a = &mut agents[idx];
             if hop {
                 let from = step_of(&a.snap).component.index();
@@ -211,7 +206,6 @@ fn reference(
         delivered,
         executed,
         final_states: agents.iter().map(|a| a.snap).collect(),
-        first_change,
         missed_advances,
         pickup_misses,
     }
@@ -257,7 +251,6 @@ fn assert_window_matches(
     assert_eq!(got.delivered, want.delivered, "{label}: delivered");
     assert_eq!(got.timesteps, want.executed, "{label}: timesteps");
     assert_eq!(got.final_states, want.final_states, "{label}: final states");
-    assert_eq!(got.first_change, want.first_change, "{label}: first change");
     assert_eq!(got.missed_advances, want.missed_advances, "{label}: missed");
     assert_eq!(
         got.pickup_misses, want.pickup_misses,
@@ -307,15 +300,14 @@ fn sorting_center_designs_match_the_reference() {
             assert_eq!(got.missed_advances, want.missed_advances, "{label}: missed");
             assert_eq!(got.pickup_misses, want.pickup_misses, "{label}");
 
-            // The same ticks as one window expose the final states, first
-            // changes and ledger the one-shot call keeps to itself.
+            // The same ticks as one window expose the final states and
+            // ledger the one-shot call keeps to itself.
             let mut window_stock = w.location_matrix().clone();
             let window =
                 realize_window(w, ts, &cycles, 0, want.executed, &states, &mut window_stock)
                     .unwrap();
             assert_same_rows(&label, &window.plan, &want.plan);
             assert_eq!(window.final_states, want.final_states, "{label}");
-            assert_eq!(window.first_change, want.first_change, "{label}");
             assert_eq!(window_stock, ledger, "{label}: ledger");
             compared += 1;
         }
@@ -368,26 +360,22 @@ proptest! {
         let mut states =
             assert_window_matches(&label, w, ts, &cycles, 0, warmup, &states, &mut stock);
 
-        // Detach some agents, move others off their path onto free cells,
-        // and empty some stocked cells.
+        // Move some agents off their path onto free cells and empty some
+        // stocked cells.
         let mut taken: Vec<bool> = vec![false; w.graph().vertex_count()];
         for s in &states {
             taken[s.pos.index()] = true;
         }
         for s in states.iter_mut() {
-            match mix.below(6) {
-                0 => s.detached = true,
-                1 => {
-                    let own = cycles.cycles()[s.cycle].steps()[s.step].component;
-                    let v = VertexId(mix.below(taken.len()) as u32);
-                    let off_path = ts.locate(v).is_none_or(|(owner, _)| owner != own);
-                    if !taken[v.index()] && off_path {
-                        taken[s.pos.index()] = false;
-                        taken[v.index()] = true;
-                        s.pos = v;
-                    }
+            if mix.below(6) == 0 {
+                let own = cycles.cycles()[s.cycle].steps()[s.step].component;
+                let v = VertexId(mix.below(taken.len()) as u32);
+                let off_path = ts.locate(v).is_none_or(|(owner, _)| owner != own);
+                if !taken[v.index()] && off_path {
+                    taken[s.pos.index()] = false;
+                    taken[v.index()] = true;
+                    s.pos = v;
                 }
-                _ => {}
             }
         }
         let stocked: Vec<(VertexId, ProductId, u64)> = stock.iter().collect();
@@ -459,7 +447,6 @@ fn snapshot(w: &Warehouse, cycle: usize, step: usize, cell: (u32, u32)) -> Agent
         pos: at(w, cell.0, cell.1),
         carry: None,
         advance_t: -1,
-        detached: false,
     }
 }
 
@@ -586,17 +573,15 @@ fn two_exits_feeding_one_entry_resolve_in_traffic_order() {
 fn strays_block_an_entry_and_a_mid_path_cell() {
     let (w, ts, cycles) = merge_fixture(true);
     let stock = w.location_matrix().clone();
-    // A detached agent parks on C's entry, so neither exit can hop; an
-    // agent of E strays onto B's offset 1, so B's entry agent cannot
+    // An agent of E strays onto C's entry, so neither exit can hop; an
+    // agent of C strays onto B's offset 1, so B's entry agent cannot
     // advance.
-    let mut entry_stray = snapshot(&w, 1, 1, (1, 1));
-    entry_stray.detached = true;
     let states = vec![
         snapshot(&w, 0, 0, (0, 1)),
         snapshot(&w, 0, 1, (4, 1)),
-        snapshot(&w, 0, 2, (3, 0)),
+        snapshot(&w, 0, 2, (1, 1)),
         snapshot(&w, 1, 0, (4, 0)),
-        entry_stray,
+        snapshot(&w, 1, 1, (3, 0)),
     ];
     let out = realize_window(&w, &ts, &cycles, 0, 30, &states, &mut stock.clone()).unwrap();
     for k in 0..=30 {
@@ -624,4 +609,20 @@ fn strays_block_an_entry_and_a_mid_path_cell() {
         &states,
         &mut stock.clone(),
     );
+}
+
+#[test]
+fn repeated_component_without_a_self_arc_is_a_missing_arc() {
+    // C has no C -> C arc, so a cycle that stays on C for two steps would
+    // have its agent jump from C's exit straight to C's entry.
+    let (w, ts, _) = merge_fixture(true);
+    let c = ComponentId(2);
+    assert!(!ts.outlets(c).contains(&c));
+    let cycles = AgentCycleSet::new(
+        vec![cycle(&[(2, CycleAction::Travel), (2, CycleAction::Travel)])],
+        ts.cycle_time(),
+    );
+    let missing = RealizeError::MissingArc { from: c, to: c };
+    assert_eq!(realize(&w, &ts, &cycles, None, 10).unwrap_err(), missing);
+    assert_eq!(initial_snapshots(&ts, &cycles).unwrap_err(), missing);
 }
