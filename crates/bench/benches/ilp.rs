@@ -1,13 +1,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use wsp_flow::{synthesize_flow_with_scratch, FlowSynthesisOptions, IlpScratch};
+use wsp_flow::{synthesize_flow_with_scratch, FlowSynthesisOptions, LpScratch};
 
 /// Flow-synthesis ILP timing on the paper's sorting center — the stage the
 /// sparse revised simplex + warm-started branch-and-bound PR made the fast
-/// one. `cold` builds a fresh solver scratch per solve (the
-/// one-shot-caller cost); `warm` reuses one scratch across iterations, so
-/// every iteration after the first takes the cross-solve warm-start path
-/// (identical problem → converged-basis reuse) that back-to-back
-/// evaluations of an identical problem in `wsp-explore` hit.
+/// one. `cold` builds a fresh solver scratch per solve: the one-shot
+/// caller cost. Reusing a scratch saves only its allocations, since it
+/// carries nothing else from one solve to the next.
 fn bench_ilp(c: &mut Criterion) {
     let mut group = c.benchmark_group("ilp");
     group.sample_size(20);
@@ -17,21 +15,7 @@ fn bench_ilp(c: &mut Criterion) {
 
     group.bench_function("synthesize-Sorting_Center-160-cold", |b| {
         b.iter(|| {
-            let mut scratch = IlpScratch::new();
-            criterion::black_box(synthesize_flow_with_scratch(
-                &map.warehouse,
-                &map.traffic,
-                &workload,
-                3_600,
-                &FlowSynthesisOptions::default(),
-                &mut scratch,
-            ))
-        })
-    });
-
-    let mut scratch = IlpScratch::new();
-    group.bench_function("synthesize-Sorting_Center-160-warm", |b| {
-        b.iter(|| {
+            let mut scratch = LpScratch::new();
             criterion::black_box(synthesize_flow_with_scratch(
                 &map.warehouse,
                 &map.traffic,

@@ -121,7 +121,9 @@ impl AgContract {
     }
 
     /// Composes an iterator of contracts (`⊗` over all of them), starting
-    /// from the identity contract `(⊤, ⊤)`.
+    /// from the identity contract `(⊤, ⊤)`. The conjuncts are appended in
+    /// place, in iteration order, so composing `k` contracts copies each
+    /// constraint once.
     pub fn compose_all<'a>(
         name: impl Into<String>,
         contracts: impl IntoIterator<Item = &'a AgContract>,
@@ -129,8 +131,8 @@ impl AgContract {
         let mut assumptions = Predicate::top();
         let mut guarantees = Predicate::top();
         for c in contracts {
-            assumptions = assumptions.and(&c.assumptions);
-            guarantees = guarantees.and(&c.guarantees);
+            assumptions.extend(&c.assumptions);
+            guarantees.extend(&c.guarantees);
         }
         AgContract {
             name: name.into(),

@@ -64,9 +64,15 @@ impl Predicate {
 
     /// The conjunction of two predicates.
     pub fn and(&self, other: &Predicate) -> Predicate {
-        let mut constraints = self.constraints.clone();
-        constraints.extend(other.constraints.iter().cloned());
-        Predicate { constraints }
+        let mut out = self.clone();
+        out.extend(other);
+        out
+    }
+
+    /// Conjoins `other` in place, appending its conjuncts after this
+    /// predicate's own.
+    pub(crate) fn extend(&mut self, other: &Predicate) {
+        self.constraints.extend(other.constraints.iter().cloned());
     }
 
     /// Whether a valuation (non-negativity is *not* checked here) satisfies

@@ -46,7 +46,7 @@
 
 use std::time::{Duration, Instant};
 
-use wsp_flow::{synthesize_flow_with_scratch, AgentCycleSet, AgentFlowSet, IlpScratch};
+use wsp_flow::{synthesize_flow_with_scratch, AgentCycleSet, AgentFlowSet, LpScratch};
 use wsp_model::{CheckScratch, LocationMatrix};
 use wsp_realize::{
     realize_window_with_scratch, realize_with_scratch, AgentSnapshot, RealizeOutcome,
@@ -92,17 +92,16 @@ pub struct RealizedArtifact {
 pub type VerifiedReport = PipelineReport;
 
 /// The staged pipeline engine. One `Pipeline` holds the preallocated
-/// realization and verification scratch tables plus the ILP solver
-/// scratch (basis factors, pricing workspace, and the warm-start state
-/// the flow synthesizer reuses when the next problem is identical); keep
-/// it per thread (it is `Send`, and every stage method
-/// takes the instance by `&`) and feed it instances back to back for
-/// allocation-light batch evaluation.
+/// realization and verification scratch tables plus the LP solver
+/// scratch (basis factors and pricing workspace; it carries no state
+/// from one synthesis to the next); keep it per thread (it is `Send`,
+/// and every stage method takes the instance by `&`) and feed it
+/// instances back to back for allocation-light batch evaluation.
 #[derive(Debug, Default)]
 pub struct Pipeline {
     realize_scratch: RealizeScratch,
     check_scratch: CheckScratch,
-    ilp_scratch: IlpScratch,
+    lp_scratch: LpScratch,
 }
 
 impl Pipeline {
@@ -129,7 +128,7 @@ impl Pipeline {
             &instance.workload,
             instance.t_limit,
             &options.flow,
-            &mut self.ilp_scratch,
+            &mut self.lp_scratch,
         )?;
         Ok(FlowArtifact {
             flow,
@@ -321,10 +320,9 @@ const _: () = {
     // queue/scheduler types are audited in `wsp_sim`'s mirror of this
     // block.
     assert_send_sync::<wsp_realize::RealizeScratch>();
-    // The solver scratches live inside each worker's `Pipeline` and cross
-    // the thread boundary with it.
-    assert_send_sync::<IlpScratch>();
-    assert_send_sync::<wsp_flow::LpScratch>();
+    // The solver scratch lives inside each worker's `Pipeline` and
+    // crosses the thread boundary with it.
+    assert_send_sync::<LpScratch>();
     // `wsp-server` shares one `RunControl` per job between its HTTP
     // handler threads (cancel/poll) and the job worker driving the
     // evaluation — it must stay lock-free thread-safe.

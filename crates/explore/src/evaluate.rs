@@ -398,16 +398,13 @@ fn simulate_candidate(
 /// threads and scores the Pareto front.
 ///
 /// Each worker owns one [`Pipeline`] (realization/verification scratch
-/// plus the ILP solver scratch — basis factors and pricing workspace —
-/// are reused across the candidates it pulls, and a candidate whose
-/// problem is identical to the previous one warm-starts the simplex) and
-/// claims work off a
+/// plus the LP solver scratch — basis factors and pricing workspace —
+/// are reused across the candidates it pulls) and claims work off a
 /// shared atomic counter, so an expensive candidate never stalls the rest
 /// of the batch behind it. Results land in their candidate's slot,
 /// keeping the output a pure function of the input regardless of
-/// completion order or thread count: solver warm starts are fingerprint
-/// gated to identical problems, so scratch reuse never changes a
-/// candidate's result.
+/// completion order or thread count: no scratch carries anything from
+/// one candidate into the next that could change its result.
 pub fn evaluate_batch(candidates: &[DesignCandidate], options: &ExploreOptions) -> ExploreOutcome {
     evaluate_batch_with(candidates, options, &RunControl::new())
 }

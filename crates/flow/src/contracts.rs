@@ -29,7 +29,7 @@ pub struct FlowVars {
 
 impl FlowVars {
     /// Allocates all flow variables for a traffic system and workload.
-    pub fn build(warehouse: &Warehouse, traffic: &TrafficSystem, workload: &Workload) -> Self {
+    pub fn build(units: &UnitsAt, traffic: &TrafficSystem, workload: &Workload) -> Self {
         let mut registry = VarRegistry::new();
         let products: Vec<ProductId> = workload.iter().map(|(p, _)| p).collect();
 
@@ -49,7 +49,7 @@ impl FlowVars {
             match comp.kind() {
                 ComponentKind::ShelvingRow => {
                     for &p in &products {
-                        if units_at(warehouse, traffic, comp.id(), p) > 0 {
+                        if units.get(comp.id(), p) > 0 {
                             let v = registry.fresh_int(format!("fin_{}_p{}", comp.id().0, p.0));
                             fin.insert((comp.id(), p), v);
                         }
@@ -127,27 +127,54 @@ impl FlowVars {
     }
 }
 
-/// Total units of `product` stocked at the shelf-access vertices of a
-/// component — the paper's `UNITS_AT(Cᵢ, ρₖ)`.
-pub(crate) fn units_at(
-    warehouse: &Warehouse,
-    traffic: &TrafficSystem,
-    component: ComponentId,
-    product: ProductId,
-) -> u64 {
-    traffic
-        .component(component)
-        .path()
-        .iter()
-        .map(|&v| warehouse.location_matrix().units_at(v, product))
-        .fold(0u64, u64::saturating_add)
+/// The paper's `UNITS_AT(Cᵢ, ρₖ)` for every component and product: the
+/// units of a product stocked at the shelf-access vertices of a
+/// component's path. Built once per compile from the location matrix's
+/// entries, so the builders look a value up instead of walking a path.
+pub(crate) struct UnitsAt {
+    /// Row length: one past the largest stocked product id, so stock the
+    /// catalog no longer lists still counts.
+    products: usize,
+    /// `units[component * products + product]`, saturating at
+    /// [`u64::MAX`] like the location matrix.
+    units: Vec<u64>,
+}
+
+impl UnitsAt {
+    /// Sums each stocked `(vertex, product)` entry into the component that
+    /// owns the vertex; stock off every component's path counts nowhere.
+    pub(crate) fn new(warehouse: &Warehouse, traffic: &TrafficSystem) -> Self {
+        let stock = warehouse.location_matrix();
+        let products = stock
+            .iter()
+            .map(|(_, p, _)| p.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut units = vec![0u64; traffic.component_count() * products];
+        for (v, p, n) in stock.iter() {
+            if let Some(c) = traffic.component_of(v) {
+                let cell = &mut units[c.index() * products + p.index()];
+                *cell = cell.saturating_add(n);
+            }
+        }
+        UnitsAt { products, units }
+    }
+
+    /// `UNITS_AT(component, product)`.
+    pub(crate) fn get(&self, component: ComponentId, product: ProductId) -> u64 {
+        if product.index() < self.products {
+            self.units[component.index() * self.products + product.index()]
+        } else {
+            0
+        }
+    }
 }
 
 /// Builds the component contract `C̃ᵢ` of every component (§IV-D): the
 /// assumption is the entry-capacity bound; the guarantees are the transfer
 /// bounds and flow-conservation laws.
 pub fn component_contracts(
-    warehouse: &Warehouse,
+    units: &UnitsAt,
     traffic: &TrafficSystem,
     vars: &FlowVars,
     periods: u64,
@@ -203,8 +230,7 @@ pub fn component_contracts(
                 guarantee.require(
                     LinExpr::var(fin),
                     Relation::Le,
-                    Rational::from(units_at(warehouse, traffic, id, p))
-                        / Rational::from(periods.max(1)),
+                    Rational::from(units.get(id, p)) / Rational::from(periods.max(1)),
                     format!("{name} pickup of {p} bounded by stock rate"),
                 );
             }
@@ -340,7 +366,7 @@ mod tests {
     fn vars_prune_to_demanded_products() {
         let (w, ts) = tiny();
         let demanded = Workload::from_demands(vec![5, 0]);
-        let vars = FlowVars::build(&w, &ts, &demanded);
+        let vars = FlowVars::build(&UnitsAt::new(&w, &ts), &ts, &demanded);
         assert_eq!(vars.products(), &[ProductId(0)]);
         // Unloaded + 1 product per arc.
         assert_eq!(vars.edge_entries().count(), ts.arc_count() * 2);
@@ -354,8 +380,9 @@ mod tests {
     fn component_contracts_have_capacity_assumption() {
         let (w, ts) = tiny();
         let workload = Workload::from_demands(vec![5]);
-        let vars = FlowVars::build(&w, &ts, &workload);
-        let contracts = component_contracts(&w, &ts, &vars, 10, true);
+        let units = UnitsAt::new(&w, &ts);
+        let vars = FlowVars::build(&units, &ts, &workload);
+        let contracts = component_contracts(&units, &ts, &vars, 10, true);
         assert_eq!(contracts.len(), ts.component_count());
         for c in &contracts {
             assert_eq!(c.assumptions().len(), 1);
@@ -368,7 +395,7 @@ mod tests {
     fn workload_contract_has_one_demand_per_product() {
         let (w, ts) = tiny();
         let workload = Workload::from_demands(vec![5, 7]);
-        let vars = FlowVars::build(&w, &ts, &workload);
+        let vars = FlowVars::build(&UnitsAt::new(&w, &ts), &ts, &workload);
         let contract = workload_contract(&workload, &vars, 10);
         assert!(contract.assumptions().is_empty());
         assert_eq!(contract.guarantees().len(), 2);
@@ -386,7 +413,51 @@ mod tests {
                     .any(|&v| w.location_matrix().has_product(v, ProductId(0)))
             })
             .expect("stocked row exists");
-        assert_eq!(units_at(&w, &ts, row, ProductId(0)), 30);
-        assert_eq!(units_at(&w, &ts, row, ProductId(1)), 0);
+        let units = UnitsAt::new(&w, &ts);
+        assert_eq!(units.get(row, ProductId(0)), 30);
+        assert_eq!(units.get(row, ProductId(1)), 0);
+        assert_eq!(units.get(row, ProductId(2)), 0);
+
+        // Stock the catalog no longer lists still counts, as it does on
+        // the path walk.
+        let mut w = w;
+        w.stock(w.shelf_access()[0], ProductId(1), 4).unwrap();
+        w.set_catalog(ProductCatalog::with_len(1));
+        assert_eq!(UnitsAt::new(&w, &ts).get(row, ProductId(1)), 4);
+    }
+
+    /// The table answers exactly what walking a component's path through
+    /// the location matrix answers, for every component and every product
+    /// id up to one past the largest stocked one, on every sweep design
+    /// and paper map.
+    #[test]
+    fn units_at_table_matches_the_path_walk() {
+        let mut maps: Vec<(String, wsp_maps::MapInstance)> = wsp_explore::sorting_center_sweep()
+            .iter()
+            .map(|c| (c.label(), c.build().expect("sweep design builds")))
+            .collect();
+        for (label, map) in [
+            ("sorting center", wsp_maps::sorting_center()),
+            ("fulfillment 1", wsp_maps::fulfillment_center_1()),
+            ("fulfillment 2", wsp_maps::fulfillment_center_2()),
+        ] {
+            maps.push((label.into(), map.expect("paper map builds")));
+        }
+        assert_eq!(maps.len(), 23);
+        for (label, map) in &maps {
+            let stock = map.warehouse.location_matrix();
+            let units = UnitsAt::new(&map.warehouse, &map.traffic);
+            let past_last = stock.iter().map(|(_, p, _)| p.0).max().expect("stocked") + 2;
+            for comp in map.traffic.components() {
+                for p in (0..past_last).map(ProductId) {
+                    let walk = comp
+                        .path()
+                        .iter()
+                        .map(|&v| stock.units_at(v, p))
+                        .fold(0u64, u64::saturating_add);
+                    assert_eq!(units.get(comp.id(), p), walk, "{label}: {} {p}", comp.id());
+                }
+            }
+        }
     }
 }

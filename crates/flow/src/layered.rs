@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 
 use wsp_contracts::{AgContract, Predicate, VarRegistry};
 use wsp_lp::{LinExpr, Rational, Relation, VarId};
-use wsp_model::{ProductId, Warehouse, Workload};
+use wsp_model::{ProductId, Workload};
 use wsp_traffic::{ComponentId, ComponentKind, TrafficSystem};
 
-use crate::contracts::units_at;
+use crate::contracts::UnitsAt;
 use crate::flowset::{AgentFlowSet, Commodity};
 use crate::FlowError;
 
@@ -33,7 +33,7 @@ pub(crate) struct LayeredVars {
 
 /// Allocates all layered variables for a traffic system and workload.
 pub(crate) fn build_vars(
-    warehouse: &Warehouse,
+    units: &UnitsAt,
     traffic: &TrafficSystem,
     workload: &Workload,
 ) -> LayeredVars {
@@ -50,7 +50,7 @@ pub(crate) fn build_vars(
         match comp.kind() {
             ComponentKind::ShelvingRow => {
                 for (p, _) in workload.iter() {
-                    if units_at(warehouse, traffic, comp.id(), p) > 0 {
+                    if units.get(comp.id(), p) > 0 {
                         pickups.insert(
                             (comp.id(), p),
                             registry.fresh_int(format!("P_{}_p{}", comp.id().0, p.0)),
@@ -77,7 +77,7 @@ pub(crate) fn build_vars(
 /// assumption over both layers; per-layer conservation, stock-rate and
 /// pickup-coupling guarantees.
 pub(crate) fn component_contracts(
-    warehouse: &Warehouse,
+    units: &UnitsAt,
     traffic: &TrafficSystem,
     vars: &LayeredVars,
     periods: u64,
@@ -171,8 +171,7 @@ pub(crate) fn component_contracts(
             guarantee.require(
                 LinExpr::var(v),
                 Relation::Le,
-                Rational::from(units_at(warehouse, traffic, id, p))
-                    / Rational::from(periods.max(1)),
+                Rational::from(units.get(id, p)) / Rational::from(periods.max(1)),
                 format!("{name} pickup of {p} bounded by stock rate"),
             );
         }
@@ -319,7 +318,7 @@ pub(crate) fn total_flow(vars: &LayeredVars) -> LinExpr {
 mod tests {
     use super::*;
     use crate::{synthesize_flow, FlowEngine, FlowSynthesisOptions};
-    use wsp_model::{Direction, GridMap, ProductCatalog};
+    use wsp_model::{Direction, GridMap, ProductCatalog, Warehouse};
     use wsp_traffic::design_perimeter_loop;
 
     fn tiny(stock: u64) -> (Warehouse, TrafficSystem) {

@@ -65,17 +65,17 @@ pub use cycles::{AgentCycle, AgentCycleSet, CycleAction, CycleStep};
 pub use error::FlowError;
 pub use flowset::{AgentFlowSet, Commodity};
 pub use relaxed::{synthesize_flow_relaxed, RelaxedFlowSummary};
-// The solver scratch types are re-exported so downstream crates
-// (`wsp-core`'s `Pipeline`, `wsp-explore`'s workers) can own one without
-// depending on `wsp-lp` directly.
-pub use wsp_lp::{IlpScratch, LpScratch};
+// The solver scratch is re-exported so downstream crates (`wsp-core`'s
+// `Pipeline`, `wsp-explore`'s workers) can own one without depending on
+// `wsp-lp` directly.
+pub use wsp_lp::LpScratch;
 
 use wsp_contracts::{AgContract, VarRegistry};
 use wsp_lp::{solve_ilp_with_scratch, IlpError, IlpOutcome, LinExpr, Problem, VarId};
 use wsp_model::{Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
 
-use contracts::FlowVars;
+use contracts::{FlowVars, UnitsAt};
 use layered::LayeredVars;
 
 /// Which constraint encoding the synthesizer uses.
@@ -150,6 +150,7 @@ impl Encoding {
         }
         let periods = (t_limit / cycle_time) as u64;
         let capacity = !options.skip_capacity;
+        let units = UnitsAt::new(warehouse, traffic);
         let system = |registry: &VarRegistry,
                       components: Vec<AgContract>,
                       demand: AgContract,
@@ -160,20 +161,20 @@ impl Encoding {
         };
         let (vars, problem) = match options.engine {
             FlowEngine::PaperIlp => {
-                let vars = FlowVars::build(warehouse, traffic, workload);
+                let vars = FlowVars::build(&units, traffic, workload);
                 let problem = system(
                     vars.registry(),
-                    contracts::component_contracts(warehouse, traffic, &vars, periods, capacity),
+                    contracts::component_contracts(&units, traffic, &vars, periods, capacity),
                     contracts::workload_contract(workload, &vars, periods),
                     vars.total_flow_objective(),
                 );
                 (EngineVars::Paper(vars), problem)
             }
             FlowEngine::LayeredIlp => {
-                let vars = layered::build_vars(warehouse, traffic, workload);
+                let vars = layered::build_vars(&units, traffic, workload);
                 let problem = system(
                     &vars.registry,
-                    layered::component_contracts(warehouse, traffic, &vars, periods, capacity),
+                    layered::component_contracts(&units, traffic, &vars, periods, capacity),
                     layered::workload_contract(workload, &vars, periods),
                     layered::total_flow(&vars),
                 );
@@ -210,18 +211,16 @@ pub fn synthesize_flow(
         workload,
         t_limit,
         options,
-        &mut IlpScratch::new(),
+        &mut LpScratch::new(),
     )
 }
 
 /// [`synthesize_flow`] with a caller-owned solver scratch
-/// ([`IlpScratch`]): back-to-back syntheses reuse the simplex basis
-/// factors and pricing workspace. The previous converged basis is reused
-/// only when the whole solve input (matrix, relations, right-hand sides,
-/// objective and bounds) fingerprints the same, that is, for an identical
-/// problem; candidates that differ in any of it solve from a cold root.
-/// This is the entry point `wsp_core::Pipeline` threads its per-pipeline
-/// scratch through.
+/// ([`LpScratch`]): back-to-back syntheses reuse the simplex's buffers
+/// (basis factors, pricing workspace) and nothing else, so every
+/// synthesis solves from a cold root and its result never depends on
+/// what the scratch solved before. This is the entry point
+/// `wsp_core::Pipeline` threads its per-pipeline scratch through.
 ///
 /// # Errors
 ///
@@ -232,7 +231,7 @@ pub fn synthesize_flow_with_scratch(
     workload: &Workload,
     t_limit: usize,
     options: &FlowSynthesisOptions,
-    scratch: &mut IlpScratch,
+    scratch: &mut LpScratch,
 ) -> Result<AgentFlowSet, FlowError> {
     let Encoding {
         cycle_time,

@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use crate::problem::{Problem, Relation, VarId};
-use crate::revised::{self, LpScratch, Start, WarmBasis};
+use crate::revised::{self, LpScratch, WarmBasis};
 use crate::scalar::{DEFAULT_INTEGRALITY_TOL, F64_FEAS_TOL};
 use crate::simplex::{solve_lp, BoundOverrides, LpError, LpOutcome};
 use crate::Rational;
@@ -33,10 +33,9 @@ pub struct IlpOptions {
     pub max_nodes: usize,
     /// Warm-start child node relaxations from the parent's optimal basis
     /// via a dual-simplex cleanup (default `true`; only meaningful on the
-    /// `f64` path). Disabling forces every node through a genuinely cold
-    /// two-phase solve — no parent basis, and no fingerprint-gated basis
-    /// reuse from a shared scratch either — the configuration the
-    /// warm-vs-cold equivalence tests compare against.
+    /// `f64` path). Disabling passes no parent basis, so every node runs
+    /// a cold two-phase solve — the configuration the warm-vs-cold
+    /// equivalence tests compare against.
     pub warm_start: bool,
 }
 
@@ -47,25 +46,6 @@ impl Default for IlpOptions {
             max_nodes: 200_000,
             warm_start: true,
         }
-    }
-}
-
-/// Preallocated workspace for [`solve_ilp_with_scratch`]: the LP scratch
-/// (basis factors, pricing workspace) every node relaxation reuses.
-///
-/// Owned by `wsp_core::Pipeline` (one per evaluation thread) so
-/// back-to-back flow syntheses allocate only their outputs. Reuse never
-/// changes results — see [`LpScratch`].
-#[derive(Debug, Default)]
-pub struct IlpScratch {
-    /// The shared LP workspace.
-    pub lp: LpScratch,
-}
-
-impl IlpScratch {
-    /// A fresh scratch; arrays grow on first use.
-    pub fn new() -> Self {
-        IlpScratch::default()
     }
 }
 
@@ -189,7 +169,7 @@ impl From<LpError> for IlpError {
 /// # Ok::<(), wsp_lp::IlpError>(())
 /// ```
 pub fn solve_ilp(problem: &Problem, options: &IlpOptions) -> Result<IlpOutcome, IlpError> {
-    solve_ilp_with_scratch(problem, options, &mut IlpScratch::new())
+    solve_ilp_with_scratch(problem, options, &mut LpScratch::new())
 }
 
 /// One branch-and-bound node: the bound overrides plus the parent's
@@ -288,8 +268,7 @@ fn strong_branch(
             child.tighten_upper(v, floor);
             frac_dist(x, false)
         };
-        let warm = if options.warm_start { basis } else { None };
-        let (outcome, _) = solve_node_f64(problem, &child, options, scratch, warm)?;
+        let (outcome, _) = solve_node_f64(problem, &child, options, scratch, basis)?;
         let gain = match outcome {
             NodeOutcome::Solved { objective, .. } => {
                 let norm = if minimize { objective } else { -objective };
@@ -303,9 +282,10 @@ fn strong_branch(
     Ok(())
 }
 
-/// [`solve_ilp`] with a caller-owned [`IlpScratch`], so back-to-back
-/// solves reuse the LP workspace (and, for repeats of an identical
-/// problem, the converged basis).
+/// [`solve_ilp`] with a caller-owned [`LpScratch`] that every node
+/// relaxation of this solve, and of later solves through the same
+/// scratch, reuses for its buffers. The scratch carries no state between
+/// solves, so reusing it never changes a result.
 ///
 /// # Errors
 ///
@@ -313,7 +293,7 @@ fn strong_branch(
 pub fn solve_ilp_with_scratch(
     problem: &Problem,
     options: &IlpOptions,
-    scratch: &mut IlpScratch,
+    scratch: &mut LpScratch,
 ) -> Result<IlpOutcome, IlpError> {
     let minimize = matches!(problem.sense(), crate::problem::Sense::Minimize);
     let int_vars: Vec<VarId> = problem.integer_vars().collect();
@@ -383,12 +363,7 @@ pub fn solve_ilp_with_scratch(
         let (node, raw_basis) = if options.exact_lp {
             (solve_node_exact(problem, &bounds)?, None)
         } else {
-            let warm = if options.warm_start {
-                warm.as_deref()
-            } else {
-                None
-            };
-            solve_node_f64(problem, &bounds, options, &mut scratch.lp, warm)?
+            solve_node_f64(problem, &bounds, options, scratch, warm.as_deref())?
         };
         let basis: Option<Rc<WarmBasis>> = raw_basis.map(Rc::new);
 
@@ -424,7 +399,7 @@ pub fn solve_ilp_with_scratch(
             if let Some(dive_vals) = rounding_dive(
                 problem,
                 options,
-                &mut scratch.lp,
+                scratch,
                 &int_vars,
                 &bounds,
                 &values,
@@ -506,7 +481,7 @@ pub fn solve_ilp_with_scratch(
                     strong_branch(
                         problem,
                         options,
-                        &mut scratch.lp,
+                        scratch,
                         &bounds,
                         basis.as_deref(),
                         v,
@@ -753,12 +728,8 @@ fn rounding_dive(
                 return Ok(None);
             }
             *lp_budget -= 1;
-            let warm_ref = if options.warm_start {
-                warm.as_ref()
-            } else {
-                None
-            };
-            let (node, basis) = solve_node_f64(problem, &tightened, options, scratch, warm_ref)?;
+            let (node, basis) =
+                solve_node_f64(problem, &tightened, options, scratch, warm.as_ref())?;
             if let NodeOutcome::Solved {
                 values: vals,
                 objective: _,
@@ -785,14 +756,9 @@ fn solve_node_f64(
     scratch: &mut LpScratch,
     warm: Option<&WarmBasis>,
 ) -> Result<(NodeOutcome, Option<WarmBasis>), IlpError> {
-    // `warm_start: false` must be genuinely cold: no parent basis was
-    // passed in, and the scratch's fingerprint-gated reuse is off too.
-    let start = match warm {
-        Some(wb) => Start::Warm(wb),
-        None if options.warm_start => Start::Auto,
-        None => Start::Cold,
-    };
-    let (out, basis) = revised::solve_f64(problem, bounds, scratch, start)?;
+    let (out, basis) = revised::solve_f64(problem, bounds, scratch, warm)?;
+    // `warm_start: false` keeps no basis, so no later node starts warm.
+    let basis = basis.filter(|_| options.warm_start);
     Ok((
         match out {
             LpOutcome::Optimal(sol) => NodeOutcome::Solved {

@@ -17,9 +17,11 @@
 //!   the parent's basis via a dual-simplex cleanup, with exact
 //!   verification of every integer candidate, so the fast path can never
 //!   return an invalid model;
-//! * [`LpScratch`] / [`IlpScratch`] — preallocated, reusable solver
-//!   workspaces for back-to-back solves
-//!   ([`solve_lp_with_scratch`] / [`solve_ilp_with_scratch`]).
+//! * [`LpScratch`] — the preallocated buffers of the sparse simplex,
+//!   reused by back-to-back ILP solves ([`solve_ilp_with_scratch`]). It
+//!   carries allocation capacity only: every LP solve is a pure function
+//!   of the problem, its bound overrides and the parent basis it starts
+//!   from, if any.
 //!
 //! # Examples
 //!
@@ -48,13 +50,9 @@ mod revised;
 mod scalar;
 mod simplex;
 
-pub use ilp::{
-    solve_ilp, solve_ilp_with_scratch, IlpError, IlpOptions, IlpOutcome, IlpScratch, IlpSolution,
-};
+pub use ilp::{solve_ilp, solve_ilp_with_scratch, IlpError, IlpOptions, IlpOutcome, IlpSolution};
 pub use problem::{Constraint, LinExpr, Problem, Relation, Sense, VarId, VarInfo};
 pub use rational::Rational;
 pub use revised::LpScratch;
 pub use scalar::Scalar;
-pub use simplex::{
-    solve_lp, solve_lp_with_scratch, BoundOverrides, LpError, LpOutcome, LpSolution,
-};
+pub use simplex::{solve_lp, BoundOverrides, LpError, LpOutcome, LpSolution};

@@ -22,15 +22,15 @@
 //! * **Warm starts.** [`solve_f64`] accepts a starting basis and repairs
 //!   it with a bounded-variable *dual* simplex: branch-and-bound children
 //!   start dual-feasible from the parent's optimal basis, so a node solve
-//!   is a handful of dual pivots instead of a two-phase cold solve.
-//!   [`LpScratch`] additionally remembers the converged basis keyed by a
-//!   fingerprint of the full problem data, so re-solving an identical
-//!   problem is a zero-pivot confirmation.
+//!   is a handful of dual pivots instead of a two-phase cold solve. A
+//!   solve without a starting basis is cold; nothing carries over from
+//!   one solve to the next.
 //!
 //! Everything here is deterministic: pricing scans in index order,
 //! tie-breaks are by index or magnitude, and no hashing of addresses or
-//! wall-clock state is consulted — identical inputs give identical
-//! solves, which the explorer's byte-determinism contract relies on.
+//! wall-clock state is consulted — a solve is a pure function of
+//! `(problem, bounds, starting basis)`, which the explorer's
+//! byte-determinism contract relies on.
 //! Numerical breakdowns (singular refactorization, vanishing pivots, a
 //! failed post-solve feasibility audit) retreat to the dense tableau
 //! rather than guessing. The `Rational` dense tableau remains the exact
@@ -569,20 +569,14 @@ impl Factor {
     }
 }
 
-/// Preallocated workspace (and cross-solve warm state) of the sparse
-/// revised simplex: basis factors, eta file, pricing vectors, bound
-/// arrays, and the fingerprint of the last converged solve.
+/// Preallocated workspace of the sparse revised simplex: basis factors,
+/// eta file, pricing vectors and bound arrays.
 ///
 /// One scratch serves problems of any size (arrays are resized per load)
 /// and is what `wsp_core::Pipeline` owns and `wsp-explore` keeps one of
-/// per worker. Reusing a scratch never changes results: solves are a pure
-/// function of `(problem, bounds)`. The only state carried across solves
-/// is allocation capacity, plus a converged basis that is reused *only*
-/// when the next problem's full data fingerprint matches the previous one
-/// (re-solving an identical problem), where the warm start provably
-/// returns the same optimum — that gate is what lets the explorer keep its
-/// byte-identical determinism contract while a repeated solve of an
-/// identical problem skips straight to a zero-pivot confirmation.
+/// per worker. It holds allocation capacity only: every solve rewrites
+/// each array before reading it, so reusing a scratch never changes a
+/// result.
 #[derive(Debug, Default)]
 pub struct LpScratch {
     // Standardized problem (rebuilt per load). Columns: structural
@@ -611,9 +605,6 @@ pub struct LpScratch {
     y: Vec<f64>,
     w: Vec<f64>,
     alpha: Vec<f64>,
-    // Cross-solve warm state.
-    fingerprint: u64,
-    converged: bool,
 }
 
 impl LpScratch {
@@ -1142,23 +1133,10 @@ enum DualEnd {
     Infeasible,
 }
 
-/// How a solve may reuse prior basis state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Start<'a> {
-    /// Cold start, but permit the scratch's fingerprint-gated reuse of
-    /// its own converged basis when the problem is identical (the
-    /// default for plain LP solves through a shared scratch).
-    Auto,
-    /// Force a cold two-phase solve: no warm basis, no fingerprint
-    /// reuse (the `IlpOptions::warm_start = false` contract).
-    Cold,
-    /// Warm-start from an explicit converged basis of the same problem
-    /// under different bound overrides (branch-and-bound children).
-    Warm(&'a WarmBasis),
-}
-
-/// Solves the LP relaxation of `problem` with the sparse revised simplex
-/// under the given [`Start`] mode. Returns the outcome plus the
+/// Solves the LP relaxation of `problem` with the sparse revised simplex:
+/// a dual-simplex repair of `warm` when given (a converged basis of the
+/// same problem under other bound overrides, as branch-and-bound children
+/// pass), a cold two-phase solve otherwise. Returns the outcome plus the
 /// converged basis when one exists.
 ///
 /// Falls back to the dense `f64` tableau on numerical breakdown (the
@@ -1167,15 +1145,14 @@ pub(crate) fn solve_f64(
     problem: &Problem,
     bounds: &BoundOverrides,
     scratch: &mut LpScratch,
-    start: Start<'_>,
+    warm: Option<&WarmBasis>,
 ) -> Result<(LpOutcome<f64>, Option<WarmBasis>), LpError> {
-    match solve_sparse(problem, bounds, scratch, start) {
+    match solve_sparse(problem, bounds, scratch, warm) {
         Ok(out) => Ok(out),
         Err(Breakdown::IterationLimit) => Err(LpError::IterationLimit {
             limit: MAX_ITERATIONS,
         }),
         Err(Breakdown::Numerical) => {
-            scratch.converged = false;
             crate::simplex::solve_dense::<f64>(problem, bounds).map(|o| (o, None))
         }
     }
@@ -1185,46 +1162,14 @@ fn solve_sparse(
     problem: &Problem,
     bounds: &BoundOverrides,
     scratch: &mut LpScratch,
-    start: Start<'_>,
+    warm: Option<&WarmBasis>,
 ) -> Result<(LpOutcome<f64>, Option<WarmBasis>), Breakdown> {
     let view = problem.sparse_view();
-    // A fingerprint hit means this exact problem was just solved to
-    // optimality from this scratch: its own basis is a valid warm start
-    // and provably reconverges to the same optimum. Only `Start::Auto`
-    // solves participate (compare here, store on convergence below) —
-    // `Start::Cold` must stay genuinely cold, and `Start::Warm` node
-    // solves skip the O(nnz) hashing entirely (their per-node bounds
-    // could never produce a hit).
-    let print: Option<u64> = if matches!(start, Start::Auto) {
-        Some(fingerprint(problem, bounds, view))
-    } else {
-        None
-    };
-    let own_warm: Option<WarmBasis> =
-        if scratch.converged && print.is_some_and(|fp| fp == scratch.fingerprint) {
-            Some(WarmBasis {
-                status: scratch.status[..scratch.n].to_vec(),
-                basis: scratch.basis.clone(),
-            })
-        } else {
-            None
-        };
-    scratch.converged = false;
-
     if !scratch.load(problem, bounds, view) {
         return Ok((LpOutcome::Infeasible, None));
     }
 
-    let warm = match start {
-        Start::Warm(wb) => Some(wb),
-        _ => own_warm.as_ref(),
-    };
-    let warm_installed = match warm {
-        Some(wb) => install_warm(scratch, view, wb).is_ok(),
-        None => false,
-    };
-
-    if warm_installed {
+    if warm.is_some_and(|wb| install_warm(scratch, view, wb).is_ok()) {
         scratch.load_phase2_cost(problem);
         match scratch.dual(view)? {
             DualEnd::Infeasible => return Ok((LpOutcome::Infeasible, None)),
@@ -1306,23 +1251,13 @@ fn solve_sparse(
     }
     let objective = if flip { -minimized } else { minimized };
 
-    if let Some(fp) = print {
-        scratch.fingerprint = fp;
-        scratch.converged = true;
-    }
-    // A cold solve's caller never reads the basis (that is the point of
-    // `Start::Cold`), so skip the snapshot allocation entirely.
-    let warm_out = if matches!(start, Start::Cold) {
-        None
-    } else {
-        Some(WarmBasis {
-            status: scratch.status[..scratch.n].to_vec(),
-            basis: scratch.basis.clone(),
-        })
+    let basis = WarmBasis {
+        status: scratch.status[..scratch.n].to_vec(),
+        basis: scratch.basis.clone(),
     };
     Ok((
         LpOutcome::Optimal(LpSolution { values, objective }),
-        warm_out,
+        Some(basis),
     ))
 }
 
@@ -1456,56 +1391,6 @@ fn verify_feasible(scratch: &LpScratch, view: &SparseView) -> bool {
         }
     }
     true
-}
-
-/// FNV-1a fingerprint of the complete solve input: dimensions, matrix
-/// structure and values, relations, right-hand sides, objective, sense,
-/// and every effective bound (base intersected with overrides). Equal
-/// fingerprints mean the same problem, so reusing the converged basis is
-/// observationally pure.
-fn fingerprint(problem: &Problem, bounds: &BoundOverrides, view: &SparseView) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&(problem.var_count() as u64).to_le_bytes());
-    eat(&(view.relation.len() as u64).to_le_bytes());
-    eat(&[matches!(problem.sense(), Sense::Maximize) as u8]);
-    for &o in &view.row_off {
-        eat(&o.to_le_bytes());
-    }
-    for &c in &view.row_col {
-        eat(&c.to_le_bytes());
-    }
-    for &v in &view.row_val {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    for r in &view.relation {
-        eat(&[match r {
-            Relation::Le => 0u8,
-            Relation::Ge => 1,
-            Relation::Eq => 2,
-        }]);
-    }
-    for &v in &view.rhs {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    for (v, q) in problem.objective().terms() {
-        eat(&v.0.to_le_bytes());
-        eat(&q.to_f64().to_bits().to_le_bytes());
-    }
-    for (j, info) in problem.vars().iter().enumerate() {
-        let var = VarId(j as u32);
-        let (lb, ub) = bounds.effective(var, info.upper);
-        let lo = lb.to_f64();
-        let up = ub.map_or(INF, |u| u.to_f64());
-        eat(&lo.to_bits().to_le_bytes());
-        eat(&up.to_bits().to_le_bytes());
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1674,8 +1559,7 @@ mod tests {
         obj.add_term(x, r(1)).add_term(y, r(1));
         p.maximize(obj);
         let mut scratch = LpScratch::new();
-        let (out, warm) =
-            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
+        let (out, warm) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, None).unwrap();
         match out {
             LpOutcome::Optimal(sol) => {
                 assert!((sol.objective - 2.8).abs() < 1e-7, "{}", sol.objective);
@@ -1698,15 +1582,14 @@ mod tests {
         p.add_constraint(c.clone(), Relation::Ge, r(3), "demand");
         p.minimize(c);
         let mut scratch = LpScratch::new();
-        let (out, warm) =
-            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
+        let (out, warm) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, None).unwrap();
         let warm = warm.expect("optimal");
         assert!(matches!(out, LpOutcome::Optimal(_)));
 
         let mut tight = BoundOverrides::none();
         tight.tighten_lower(x, Rational::new(5, 2));
-        let (warm_out, _) = solve_f64(&p, &tight, &mut scratch, Start::Warm(&warm)).unwrap();
-        let (cold_out, _) = solve_f64(&p, &tight, &mut LpScratch::new(), Start::Cold).unwrap();
+        let (warm_out, _) = solve_f64(&p, &tight, &mut scratch, Some(&warm)).unwrap();
+        let (cold_out, _) = solve_f64(&p, &tight, &mut LpScratch::new(), None).unwrap();
         match (warm_out, cold_out) {
             (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
                 assert!((a.objective - b.objective).abs() < 1e-7);
@@ -1724,34 +1607,10 @@ mod tests {
         p.set_upper(x, r(4));
         p.minimize(LinExpr::var(x));
         let mut scratch = LpScratch::new();
-        let (_, warm) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
+        let (_, warm) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, None).unwrap();
         let mut b = BoundOverrides::none();
         b.tighten_lower(x, r(5));
-        let (out, _) = solve_f64(
-            &p,
-            &b,
-            &mut scratch,
-            warm.as_ref().map_or(Start::Auto, Start::Warm),
-        )
-        .unwrap();
+        let (out, _) = solve_f64(&p, &b, &mut scratch, warm.as_ref()).unwrap();
         assert_eq!(out, LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn fingerprint_reuse_is_observationally_pure() {
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        let mut c = LinExpr::new();
-        c.add_term(x, r(2)).add_term(y, r(3));
-        p.add_constraint(c, Relation::Le, r(12), "cap");
-        let mut obj = LinExpr::new();
-        obj.add_term(x, r(1)).add_term(y, r(2));
-        p.maximize(obj);
-        let mut scratch = LpScratch::new();
-        let (first, _) = solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
-        let (second, _) =
-            solve_f64(&p, &BoundOverrides::none(), &mut scratch, Start::Auto).unwrap();
-        assert_eq!(first, second);
     }
 }

@@ -45,16 +45,11 @@ pub trait Scalar:
     fn to_f64(&self) -> f64;
 
     /// Dispatches to this instantiation's LP solver: the sparse revised
-    /// simplex for `f64`, the exact dense tableau for [`Rational`] (which
-    /// ignores `scratch`). Not part of the supported API surface — call
-    /// [`solve_lp`](crate::solve_lp) /
-    /// [`solve_lp_with_scratch`](crate::solve_lp_with_scratch) instead.
+    /// simplex for `f64`, the exact dense tableau for [`Rational`]. Not
+    /// part of the supported API surface — call
+    /// [`solve_lp`](crate::solve_lp) instead.
     #[doc(hidden)]
-    fn solve_with_scratch(
-        problem: &Problem,
-        bounds: &BoundOverrides,
-        scratch: &mut LpScratch,
-    ) -> Result<LpOutcome<Self>, LpError>
+    fn solve(problem: &Problem, bounds: &BoundOverrides) -> Result<LpOutcome<Self>, LpError>
     where
         Self: Sized;
 }
@@ -106,12 +101,8 @@ impl Scalar for f64 {
     fn to_f64(&self) -> f64 {
         *self
     }
-    fn solve_with_scratch(
-        problem: &Problem,
-        bounds: &BoundOverrides,
-        scratch: &mut LpScratch,
-    ) -> Result<LpOutcome<f64>, LpError> {
-        revised::solve_f64(problem, bounds, scratch, revised::Start::Auto).map(|(out, _)| out)
+    fn solve(problem: &Problem, bounds: &BoundOverrides) -> Result<LpOutcome<f64>, LpError> {
+        revised::solve_f64(problem, bounds, &mut LpScratch::new(), None).map(|(out, _)| out)
     }
 }
 
@@ -135,11 +126,7 @@ impl Scalar for Rational {
     fn to_f64(&self) -> f64 {
         Rational::to_f64(*self)
     }
-    fn solve_with_scratch(
-        problem: &Problem,
-        bounds: &BoundOverrides,
-        _scratch: &mut LpScratch,
-    ) -> Result<LpOutcome<Rational>, LpError> {
+    fn solve(problem: &Problem, bounds: &BoundOverrides) -> Result<LpOutcome<Rational>, LpError> {
         solve_dense::<Rational>(problem, bounds)
     }
 }

@@ -10,7 +10,6 @@
 //! detected.
 
 use crate::problem::{Problem, Relation, Sense, VarId};
-use crate::revised::LpScratch;
 use crate::scalar::{Scalar, F64_FEAS_TOL};
 use crate::Rational;
 
@@ -83,10 +82,10 @@ impl BoundOverrides {
     /// The effective `(lower, upper)` bounds of `var`: the implicit base
     /// lower bound 0 raised by any override, and `base_upper` intersected
     /// with any override. The single source of truth every consumer
-    /// shares — the sparse solver's bound arrays, the warm-start
-    /// fingerprint, the ILP presolve's contradiction check, and the dense
-    /// tableau's bound rows all go through here, so they can never
-    /// disagree about what a bound means.
+    /// shares — the sparse solver's bound arrays, the ILP presolve's
+    /// contradiction check, and the dense tableau's bound rows all go
+    /// through here, so they can never disagree about what a bound
+    /// means.
     pub fn effective(
         &self,
         var: VarId,
@@ -190,24 +189,7 @@ pub fn solve_lp<S: Scalar>(
     problem: &Problem,
     bounds: &BoundOverrides,
 ) -> Result<LpOutcome<S>, LpError> {
-    S::solve_with_scratch(problem, bounds, &mut LpScratch::default())
-}
-
-/// [`solve_lp`] with a caller-owned [`LpScratch`], so back-to-back `f64`
-/// solves reuse the basis factors, pricing workspace, and (for repeats of
-/// an identical problem) the converged basis itself. The `Rational`
-/// instantiation ignores the scratch (the exact dense tableau allocates its
-/// own working set).
-///
-/// # Errors
-///
-/// Returns [`LpError::IterationLimit`] if the pivot cap is exceeded.
-pub fn solve_lp_with_scratch<S: Scalar>(
-    problem: &Problem,
-    bounds: &BoundOverrides,
-    scratch: &mut LpScratch,
-) -> Result<LpOutcome<S>, LpError> {
-    S::solve_with_scratch(problem, bounds, scratch)
+    S::solve(problem, bounds)
 }
 
 /// The dense tableau path, kept as the exact solver for `Rational` and as

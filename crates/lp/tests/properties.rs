@@ -2,12 +2,12 @@
 //! `Rational`, agreement between the `f64` sparse revised simplex and the
 //! exact `Rational` dense-tableau oracle (including on flow-shaped
 //! programs with sparse conservation-style rows), warm-started vs
-//! cold-started branch-and-bound equivalence, and branch-and-bound
-//! cross-checked against brute force.
+//! cold-started branch-and-bound equivalence, solver-scratch reuse across
+//! problems, and branch-and-bound cross-checked against brute force.
 
 use proptest::prelude::*;
 use wsp_lp::{
-    solve_ilp, solve_lp, solve_lp_with_scratch, BoundOverrides, IlpOptions, IlpOutcome, LinExpr,
+    solve_ilp, solve_ilp_with_scratch, solve_lp, BoundOverrides, IlpOptions, IlpOutcome, LinExpr,
     LpOutcome, LpScratch, Problem, Rational, Relation, VarId,
 };
 
@@ -199,19 +199,21 @@ proptest! {
         }
     }
 
-    /// Scratch reuse across a sequence of different problems never
-    /// changes any solve's outcome (the warm state is fingerprint-gated).
+    /// Reusing one [`LpScratch`] across a sequence of different problems
+    /// never changes any solve's outcome: the scratch carries buffers
+    /// only, so each solve through it equals a solve through a fresh one.
     #[test]
-    fn scratch_reuse_is_pure(problems in proptest::collection::vec(random_flow_shaped_lp(), 1..4)) {
+    fn scratch_reuse_is_pure(
+        lps in proptest::collection::vec(random_flow_shaped_lp(), 1..4),
+        ilps in proptest::collection::vec(random_small_ilp(), 1..3),
+    ) {
+        let options = IlpOptions::default();
         let mut scratch = LpScratch::new();
-        for p in &problems {
-            // Twice through the shared scratch (second solve takes the
-            // fingerprint warm path), once through a fresh one.
-            let a = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &mut scratch)
-                .unwrap();
-            let b = solve_lp_with_scratch::<f64>(p, &BoundOverrides::none(), &mut scratch)
-                .unwrap();
-            let fresh = solve_lp::<f64>(p, &BoundOverrides::none()).unwrap();
+        for p in lps.iter().chain(&ilps) {
+            // Twice through the shared scratch, once through a fresh one.
+            let a = solve_ilp_with_scratch(p, &options, &mut scratch);
+            let b = solve_ilp_with_scratch(p, &options, &mut scratch);
+            let fresh = solve_ilp_with_scratch(p, &options, &mut LpScratch::new());
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &fresh);
         }
