@@ -12,6 +12,9 @@ use std::time::Instant;
 
 use wsp_explore::{evaluate_batch, sorting_center_sweep, ExploreOptions};
 
+/// Timed batches per thread point, taken after every point's warm-up.
+const SAMPLES: usize = 15;
+
 fn main() {
     let candidates = sorting_center_sweep();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -19,27 +22,40 @@ fn main() {
     if !points.contains(&cores) {
         points.push(cores);
     }
-
-    let mut renderings: Vec<String> = Vec::new();
-    let mut rows: Vec<(usize, f64, f64, usize, usize)> = Vec::new();
-    for &threads in &points {
-        let options = ExploreOptions {
+    let options: Vec<ExploreOptions> = points
+        .iter()
+        .map(|&threads| ExploreOptions {
             threads: Some(threads),
             ..ExploreOptions::default()
-        };
-        // Warm-up run (also the determinism probe), then timed runs.
-        let probe = evaluate_batch(&candidates, &options);
-        renderings.push(probe.to_json());
-        let samples = 3;
-        let t0 = Instant::now();
-        for _ in 0..samples {
-            std::hint::black_box(evaluate_batch(&candidates, &options));
+        })
+        .collect();
+
+    // One warm-up batch per point (also the determinism probe) before any
+    // point is timed, so no point pays for a cold start.
+    let probes: Vec<_> = options
+        .iter()
+        .map(|o| evaluate_batch(&candidates, o))
+        .collect();
+    let renderings: Vec<String> = probes.iter().map(|p| p.to_json()).collect();
+    // Timed batches, round-robin over the points so drift spreads evenly.
+    let mut secs: Vec<Vec<f64>> = vec![Vec::with_capacity(SAMPLES); points.len()];
+    for _ in 0..SAMPLES {
+        for (o, samples) in options.iter().zip(&mut secs) {
+            let t0 = Instant::now();
+            std::hint::black_box(evaluate_batch(&candidates, o));
+            samples.push(t0.elapsed().as_secs_f64());
         }
-        let secs = t0.elapsed().as_secs_f64() / samples as f64;
+    }
+
+    let mut rows: Vec<(usize, f64, f64, f64, usize, usize)> = Vec::new();
+    for ((&threads, probe), samples) in points.iter().zip(&probes).zip(&mut secs) {
+        samples.sort_by(f64::total_cmp);
+        let median = samples[SAMPLES / 2];
         rows.push((
             threads,
-            secs,
-            candidates.len() as f64 / secs,
+            median,
+            samples[0],
+            candidates.len() as f64 / median,
             probe.front.len(),
             probe
                 .reports
@@ -49,7 +65,7 @@ fn main() {
         ));
     }
     let deterministic = renderings.windows(2).all(|w| w[0] == w[1]);
-    let per_sec_at = |t: usize| rows.iter().find(|r| r.0 == t).map(|r| r.2);
+    let per_sec_at = |t: usize| rows.iter().find(|r| r.0 == t).map(|r| r.3);
     let speedup_4t = match (per_sec_at(4), per_sec_at(1)) {
         (Some(four), Some(one)) if one > 0.0 => four / one,
         _ => f64::NAN,
@@ -57,17 +73,18 @@ fn main() {
 
     println!("{{");
     println!(
-        "  \"note\": \"Design-explorer throughput on the default 20-candidate sorting-center sweep (160 units, T=3600). candidates_per_sec = 20 / mean batch seconds over 3 runs after warm-up. 'deterministic' asserts byte-identical to_json renderings (outcomes + Pareto front) across every thread count. Thread scaling is hardware-bound: on a host with available_cores = 1 every point measures the same serialized work and speedup_4t_vs_1t ~ 1.0 only proves the work queue adds no overhead; the >= 3x target at 4 threads needs >= 4 physical cores (candidates are independent, so scaling is embarrassingly parallel). Regenerate with: cargo run --release -p wsp-bench --bin explore > BENCH_explore.json. Schema: docs/BENCHMARKS.md.\","
+        "  \"note\": \"Design-explorer throughput on the default 20-candidate sorting-center sweep (160 units, T=3600). Every thread point runs one warm-up batch before any point is timed, then {SAMPLES} timed batches per point, round-robin over the points; batch_seconds_median and batch_seconds_min summarize them and candidates_per_sec = 20 / batch_seconds_median. 'deterministic' asserts byte-identical to_json renderings (outcomes + Pareto front) across every thread count. Thread scaling is hardware-bound: points above available_cores share its cores, so on a 2-core host the 4-thread point measures the 2-thread work plus scheduling overhead, and speedup_4t_vs_1t tops out near 2; the >= 3x target at 4 threads needs >= 4 physical cores (candidates are independent, so scaling is embarrassingly parallel). Regenerate with: cargo run --release -p wsp-bench --bin explore > BENCH_explore.json. Schema: docs/BENCHMARKS.md.\","
     );
     println!("  \"available_cores\": {cores},");
     println!("  \"sweep_candidates\": {},", candidates.len());
+    println!("  \"samples_per_point\": {SAMPLES},");
     println!("  \"deterministic_across_thread_counts\": {deterministic},");
     println!("  \"speedup_4t_vs_1t\": {speedup_4t:.2},");
     println!("  \"runs\": [");
-    for (i, (threads, secs, cps, front, solved)) in rows.iter().enumerate() {
+    for (i, (threads, median, min, cps, front, solved)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         println!(
-            "    {{ \"threads\": {threads}, \"batch_seconds\": {secs:.4}, \"candidates_per_sec\": {cps:.2}, \"front_size\": {front}, \"solved\": {solved} }}{comma}"
+            "    {{ \"threads\": {threads}, \"batch_seconds_median\": {median:.4}, \"batch_seconds_min\": {min:.4}, \"candidates_per_sec\": {cps:.2}, \"front_size\": {front}, \"solved\": {solved} }}{comma}"
         );
     }
     println!("  ]");

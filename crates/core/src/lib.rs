@@ -45,7 +45,6 @@ use wsp_traffic::TrafficSystem;
 
 pub use pipeline::{CycleArtifact, FlowArtifact, Pipeline, RealizedArtifact, VerifiedReport};
 pub use wsp_flow::{synthesize_flow_relaxed, FlowEngine, RelaxedFlowSummary};
-pub use wsp_realize::{AgentSnapshot, WindowOutcome};
 
 /// Parses a thread-count override (the `WSP_THREADS` format): a bare
 /// base-10 integer, surrounding whitespace tolerated. `0` is accepted and

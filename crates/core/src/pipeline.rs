@@ -47,11 +47,8 @@
 use std::time::{Duration, Instant};
 
 use wsp_flow::{synthesize_flow_with_scratch, AgentCycleSet, AgentFlowSet, LpScratch};
-use wsp_model::{CheckScratch, LocationMatrix};
-use wsp_realize::{
-    realize_window_with_scratch, realize_with_scratch, AgentSnapshot, RealizeOutcome,
-    RealizeScratch, WindowOutcome,
-};
+use wsp_model::CheckScratch;
+use wsp_realize::{realize_with_scratch, RealizeOutcome, RealizeScratch};
 
 use crate::{PhaseTimings, PipelineError, PipelineOptions, PipelineReport, WspInstance};
 
@@ -192,44 +189,6 @@ impl Pipeline {
         })
     }
 
-    /// Resumes the realize stage as one rolling-horizon window: exactly
-    /// `window` ticks starting at absolute timestep `start_t` from the
-    /// given per-agent [`AgentSnapshot`]s, debiting executed pickups from
-    /// the caller-owned `stock` ledger and reusing this pipeline's
-    /// realization scratch.
-    ///
-    /// This is the replanning entry point of the lifelong simulator
-    /// (`wsp-sim`): synthesize and decompose once, then realize window
-    /// after window from the executed state — windowing is exact, so a
-    /// deviation-free sequence of windows reproduces the one-shot
-    /// [`realize`](Self::realize) trajectories tick for tick.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Realize`] on invalid cycle sets or malformed
-    /// snapshots ([`wsp_realize::RealizeError::BadSnapshot`]).
-    pub fn realize_window(
-        &mut self,
-        instance: &WspInstance,
-        cycles: &AgentCycleSet,
-        start_t: usize,
-        window: usize,
-        states: &[AgentSnapshot],
-        stock: &mut LocationMatrix,
-    ) -> Result<WindowOutcome, PipelineError> {
-        realize_window_with_scratch(
-            &instance.warehouse,
-            &instance.traffic,
-            cycles,
-            start_t,
-            window,
-            states,
-            stock,
-            &mut self.realize_scratch,
-        )
-        .map_err(PipelineError::from)
-    }
-
     /// Stage four: check the realized plan with the independent
     /// [`wsp_model::PlanChecker`] (feasibility conditions (1)–(3) of §III
     /// plus workload servicing), reusing this pipeline's verification
@@ -311,15 +270,10 @@ const _: () = {
     assert_send_sync::<FlowArtifact>();
     assert_send_sync::<CycleArtifact>();
     assert_send_sync::<RealizedArtifact>();
-    // The lifelong simulator (`wsp-sim`) moves snapshots, window plans,
-    // and candidate repair paths across its scoped repair workers.
-    assert_send_sync::<AgentSnapshot>();
-    assert_send_sync::<WindowOutcome>();
-    // The event-driven simulator hands whole realize scratches (and the
-    // window plans realized through them) to worker pipelines; its own
-    // queue/scheduler types are audited in `wsp_sim`'s mirror of this
-    // block.
-    assert_send_sync::<wsp_realize::RealizeScratch>();
+    // The realize scratch lives inside each worker's `Pipeline` (and
+    // inside each `wsp_sim::Simulation`, audited in `wsp_sim`'s mirror of
+    // this block) and crosses the thread boundary with it.
+    assert_send_sync::<RealizeScratch>();
     // The solver scratch lives inside each worker's `Pipeline` and
     // crosses the thread boundary with it.
     assert_send_sync::<LpScratch>();
@@ -394,38 +348,6 @@ mod tests {
         let full_report = pipeline.verify(&instance, full).unwrap();
         assert!(early_report.stats.total_delivered() >= 4);
         assert!(full_report.stats.total_delivered() > early_report.stats.total_delivered());
-    }
-
-    #[test]
-    fn realize_window_resumes_the_realize_stage() {
-        let instance = tiny_instance(4);
-        let options = PipelineOptions {
-            realize_full_horizon: true,
-            ..PipelineOptions::default()
-        };
-        let mut pipeline = Pipeline::new();
-        let flow = pipeline.synthesize(&instance, &options).unwrap();
-        let cycles = pipeline.decompose(&flow).unwrap();
-        let full = pipeline.realize(&instance, &options, &cycles).unwrap();
-
-        let mut states = wsp_realize::initial_snapshots(&instance.traffic, &cycles.cycles).unwrap();
-        let mut stock = instance.warehouse.location_matrix().clone();
-        let mut t = 0usize;
-        while t < 60 {
-            let out = pipeline
-                .realize_window(&instance, &cycles.cycles, t, 20, &states, &mut stock)
-                .unwrap();
-            for (a, s) in out.final_states.iter().enumerate() {
-                assert_eq!(
-                    s.pos,
-                    full.outcome.plan.state(a, t + 20).unwrap().at,
-                    "agent {a} diverged at t={}",
-                    t + 20
-                );
-            }
-            states = out.final_states;
-            t += 20;
-        }
     }
 
     #[test]

@@ -220,6 +220,16 @@ impl AgentFlowSet {
         workload: &Workload,
     ) -> Vec<String> {
         let mut violations = Vec::new();
+        let stock = warehouse.location_matrix();
+        // Conservation is checked for every product a flow, pickup or
+        // drop-off names.
+        let products: std::collections::BTreeSet<ProductId> = self
+            .edges
+            .keys()
+            .filter_map(|&(_, _, k)| k.product())
+            .chain(self.pickups.keys().map(|&(_, p)| p))
+            .chain(self.dropoffs.keys().map(|&(_, p)| p))
+            .collect();
 
         // Flows only on traffic-system arcs (outlet slices are 1-2 long).
         for (i, j, k, n) in self.edge_flows() {
@@ -240,26 +250,33 @@ impl AgentFlowSet {
                 ));
             }
 
-            // Pickups only at shelving rows, within stock rate.
-            let units_at = |p: ProductId| -> u64 {
-                comp.path()
-                    .iter()
-                    .map(|&v| warehouse.location_matrix().units_at(v, p))
-                    .fold(0u64, u64::saturating_add)
-            };
-            for (&(c, p), &n) in &self.pickups {
-                if c != id {
-                    continue;
+            // Pickups only at shelving rows, within stock rate. UNITS_AT
+            // is summed for every picked product by one walk of the path,
+            // independent of the encoder's table.
+            let picks: Vec<(ProductId, u64)> = self
+                .pickups
+                .range((id, ProductId(0))..=(id, ProductId(u32::MAX)))
+                .map(|(&(_, p), &n)| (p, n))
+                .collect();
+            let mut units_at = vec![0u64; picks.len()];
+            if !picks.is_empty() {
+                for &v in comp.path() {
+                    for (q, units) in stock.products_at(v) {
+                        if let Ok(k) = picks.binary_search_by_key(&q, |&(p, _)| p) {
+                            units_at[k] = units_at[k].saturating_add(units);
+                        }
+                    }
                 }
+            }
+            for (&(p, n), &units) in picks.iter().zip(&units_at) {
                 if comp.kind() != ComponentKind::ShelvingRow {
                     violations.push(format!("{id}: pickup of {p} outside a shelving row"));
                 }
                 // f_in <= UNITS_AT / q_c, i.e. q_c * f_in <= UNITS_AT.
-                if n.saturating_mul(self.periods) > units_at(p) {
+                if n.saturating_mul(self.periods) > units {
                     violations.push(format!(
-                        "{id}: picks {n}/{p} per period x {} periods exceeds stock {}",
-                        self.periods,
-                        units_at(p)
+                        "{id}: picks {n}/{p} per period x {} periods exceeds stock {units}",
+                        self.periods
                     ));
                 }
             }
@@ -284,12 +301,7 @@ impl AgentFlowSet {
             }
 
             // Pickup coupling: total pickups bounded by unloaded inflow.
-            let total_pickups: u64 = self
-                .pickups
-                .iter()
-                .filter(|(&(c, _), _)| c == id)
-                .map(|(_, &n)| n)
-                .sum();
+            let total_pickups: u64 = picks.iter().map(|&(_, n)| n).sum();
             let unloaded_in: u64 = traffic
                 .inlets(id)
                 .iter()
@@ -302,13 +314,6 @@ impl AgentFlowSet {
             }
 
             // Conservation per product and for unloaded agents.
-            let products: std::collections::BTreeSet<ProductId> = self
-                .edges
-                .keys()
-                .filter_map(|&(_, _, k)| k.product())
-                .chain(self.pickups.keys().map(|&(_, p)| p))
-                .chain(self.dropoffs.keys().map(|&(_, p)| p))
-                .collect();
             for &p in &products {
                 let inflow: u64 = traffic
                     .inlets(id)
@@ -431,6 +436,160 @@ mod tests {
         assert_eq!(fs.edge_flows().count(), 0);
         assert_eq!(fs.pickups().count(), 0);
         assert_eq!(fs.dropoffs().count(), 0);
+    }
+
+    /// A 3×3 ring around one shelf: `C0` is the station-side bottom row
+    /// (a station queue of capacity 1), `C1` the rest of the ring (a
+    /// shelving row of capacity 2 whose west access cell stocks 100 units
+    /// of `ρ1`).
+    fn ring() -> (Warehouse, TrafficSystem) {
+        use wsp_model::{Coord, Direction, GridMap, ProductCatalog};
+        let grid = GridMap::from_ascii("...\n.#.\n.@.").unwrap();
+        let mut w =
+            Warehouse::from_grid_with_access(&grid, &[Direction::East, Direction::West]).unwrap();
+        w.set_catalog(ProductCatalog::with_len(1));
+        let west_access = w.graph().vertex_at(Coord::new(0, 1)).unwrap();
+        w.stock(west_access, p(0), 100).unwrap();
+        let mut b = wsp_traffic::TrafficSystemBuilder::new();
+        let queue = b
+            .add_component_coords(&w, [(0, 0), (1, 0), (2, 0)])
+            .unwrap();
+        let row = b
+            .add_component_coords(&w, [(2, 1), (2, 2), (1, 2), (0, 2), (0, 1)])
+            .unwrap();
+        b.connect(queue, row).connect(row, queue);
+        let ts = b.build(&w).unwrap();
+        (w, ts)
+    }
+
+    /// One agent per period picks `ρ1` on `C1`, carries it to `C0`, drops
+    /// it and returns unloaded: valid for a demand of up to `periods`.
+    fn one_agent_loop(periods: u64) -> AgentFlowSet {
+        let mut fs = AgentFlowSet::new(10, periods);
+        fs.add_edge_flow(c(1), c(0), Commodity::Loaded(p(0)), 1);
+        fs.add_edge_flow(c(0), c(1), Commodity::Unloaded, 1);
+        fs.add_pickup(c(1), p(0), 1);
+        fs.add_dropoff(c(0), p(0), 1);
+        fs
+    }
+
+    #[test]
+    fn validate_reports_every_rule_violation() {
+        let (w, ts) = ring();
+        let demand = Workload::from_demands(vec![6]);
+        assert_eq!(
+            one_agent_loop(6).validate(&w, &ts, &demand),
+            Vec::<String>::new()
+        );
+        type Mutation = fn(&mut AgentFlowSet);
+        let cases: [(&str, u64, u64, Mutation, &[&str]); 10] = [
+            (
+                "off-arc flow",
+                6,
+                6,
+                |fs| fs.add_edge_flow(c(7), c(1), Commodity::Unloaded, 1),
+                &["flow 1xρ0 on non-arc C7->C1"],
+            ),
+            (
+                "entry capacity",
+                6,
+                6,
+                |fs| {
+                    fs.add_edge_flow(c(1), c(0), Commodity::Loaded(p(0)), 1);
+                    fs.add_edge_flow(c(0), c(1), Commodity::Unloaded, 1);
+                    fs.add_pickup(c(1), p(0), 1);
+                    fs.add_dropoff(c(0), p(0), 1);
+                },
+                &["C0: 2 agents enter per period, capacity 1"],
+            ),
+            (
+                "pickup outside a shelving row",
+                6,
+                6,
+                |fs| fs.add_pickup(c(0), p(0), 1),
+                &[
+                    "C0: pickup of ρ1 outside a shelving row",
+                    "C0: picks 1/ρ1 per period x 6 periods exceeds stock 0",
+                    "C0: 1 pickups but only 0 unloaded agents enter",
+                    "C0/ρ1: conservation broken (out 0 + drop 1 != in 1 + pick 1)",
+                    "C0/ρ0: conservation broken (out 1 + pick 1 != in 0 + drop 1)",
+                ],
+            ),
+            (
+                "pickup over stock",
+                200,
+                6,
+                |_| {},
+                &["C1: picks 1/ρ1 per period x 200 periods exceeds stock 100"],
+            ),
+            (
+                "drop-off outside a station queue",
+                6,
+                6,
+                |fs| fs.add_dropoff(c(1), p(0), 1),
+                &[
+                    "C1: drop-off of ρ1 outside a station queue",
+                    "C1: drops 1/ρ1 but only 0 loaded agents enter",
+                    "C1/ρ1: conservation broken (out 1 + drop 1 != in 0 + pick 1)",
+                    "C1/ρ0: conservation broken (out 0 + pick 1 != in 1 + drop 1)",
+                ],
+            ),
+            (
+                "drop-off over loaded inflow",
+                6,
+                6,
+                |fs| fs.add_dropoff(c(0), p(0), 1),
+                &[
+                    "C0: drops 2/ρ1 but only 1 loaded agents enter",
+                    "C0/ρ1: conservation broken (out 0 + drop 2 != in 1 + pick 0)",
+                    "C0/ρ0: conservation broken (out 1 + pick 0 != in 0 + drop 2)",
+                ],
+            ),
+            (
+                "pickups over unloaded inflow",
+                6,
+                6,
+                |fs| fs.add_pickup(c(1), p(0), 1),
+                &[
+                    "C1: 2 pickups but only 1 unloaded agents enter",
+                    "C1/ρ1: conservation broken (out 1 + drop 0 != in 0 + pick 2)",
+                    "C1/ρ0: conservation broken (out 0 + pick 2 != in 1 + drop 0)",
+                ],
+            ),
+            (
+                "per-product conservation",
+                6,
+                6,
+                |fs| fs.add_edge_flow(c(0), c(1), Commodity::Loaded(p(0)), 1),
+                &[
+                    "C0/ρ1: conservation broken (out 1 + drop 1 != in 1 + pick 0)",
+                    "C1/ρ1: conservation broken (out 1 + drop 0 != in 1 + pick 1)",
+                ],
+            ),
+            (
+                "ρ0 conservation",
+                6,
+                6,
+                |fs| fs.add_edge_flow(c(0), c(1), Commodity::Unloaded, 1),
+                &[
+                    "C0/ρ0: conservation broken (out 2 + pick 0 != in 0 + drop 1)",
+                    "C1/ρ0: conservation broken (out 0 + pick 1 != in 2 + drop 0)",
+                ],
+            ),
+            (
+                "workload shortfall",
+                6,
+                7,
+                |_| {},
+                &["workload: ρ1 delivers 1/period x 6 periods < demand 7"],
+            ),
+        ];
+        for (rule, periods, demand, mutate, want) in cases {
+            let mut fs = one_agent_loop(periods);
+            mutate(&mut fs);
+            let got = fs.validate(&w, &ts, &Workload::from_demands(vec![demand]));
+            assert_eq!(got, want, "{rule}");
+        }
     }
 
     #[test]

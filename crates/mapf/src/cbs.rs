@@ -151,7 +151,7 @@ impl CbsPlanner {
             let solution = MapfSolution {
                 paths: node.paths.clone(),
             };
-            let Some(conflict) = solution.first_conflict(problem.graph()) else {
+            let Some(conflict) = solution.first_conflict() else {
                 return Ok(solution);
             };
 

@@ -51,5 +51,5 @@ pub use astar::{Constraints, PlanQuery, SearchScratch, SegmentPath, SpaceTimeAst
 pub use cbs::CbsPlanner;
 pub use iterated::{InnerSolver, IteratedPlanner};
 pub use prioritized::PrioritizedPlanner;
-pub use problem::{Conflict, MapfError, MapfProblem, MapfSolution};
+pub use problem::{conflict_at, Conflict, MapfError, MapfProblem, MapfSolution};
 pub use reservation::{ReservationTable, StoragePolicy};

@@ -146,85 +146,76 @@ impl MapfSolution {
             .unwrap_or_else(|| path.last().expect("non-empty path"))
     }
 
-    /// Finds all vertex and edge conflicts (empty = valid). Also reports
-    /// moves along non-edges as vertex conflicts of an agent with itself
-    /// never — malformed moves are validated separately.
+    /// Finds every vertex and edge conflict, in time order (empty =
+    /// valid). A move along a non-edge is not a conflict; debug builds
+    /// assert that every move follows a graph edge.
     pub fn validate(&self, graph: &FloorplanGraph) -> Vec<Conflict> {
-        let mut conflicts = Vec::new();
-        let horizon = self.makespan();
-        for t in 0..=horizon {
-            for a in 0..self.paths.len() {
-                // Movement validity.
-                if t > 0 {
-                    let prev = self.position(a, t - 1);
-                    let cur = self.position(a, t);
-                    debug_assert!(
-                        prev == cur || graph.has_edge(prev, cur),
-                        "agent {a} makes an illegal move at t={t}"
-                    );
-                }
-                for b in (a + 1)..self.paths.len() {
-                    if self.position(a, t) == self.position(b, t) {
-                        conflicts.push(Conflict::Vertex {
-                            a,
-                            b,
-                            t,
-                            at: self.position(a, t),
-                        });
-                    }
-                    if t > 0
-                        && self.position(a, t) == self.position(b, t - 1)
-                        && self.position(a, t - 1) == self.position(b, t)
-                        && self.position(a, t) != self.position(a, t - 1)
-                    {
-                        conflicts.push(Conflict::Edge {
-                            a,
-                            b,
-                            t: t - 1,
-                            from: self.position(a, t - 1),
-                            to: self.position(a, t),
-                        });
-                    }
-                }
+        for (a, path) in self.paths.iter().enumerate() {
+            for (t, w) in path.windows(2).enumerate() {
+                debug_assert!(
+                    w[0] == w[1] || graph.has_edge(w[0], w[1]),
+                    "agent {a} makes an illegal move at t={}",
+                    t + 1
+                );
             }
         }
-        conflicts
+        self.conflicts().collect()
     }
 
-    /// The first conflict, if any (used by CBS node expansion).
-    pub fn first_conflict(&self, graph: &FloorplanGraph) -> Option<Conflict> {
-        // Scan in time order so CBS resolves the earliest conflict first.
-        let horizon = self.makespan();
-        for t in 0..=horizon {
-            for a in 0..self.paths.len() {
-                for b in (a + 1)..self.paths.len() {
-                    if self.position(a, t) == self.position(b, t) {
-                        return Some(Conflict::Vertex {
-                            a,
-                            b,
-                            t,
-                            at: self.position(a, t),
-                        });
-                    }
-                    if t > 0
-                        && self.position(a, t) == self.position(b, t - 1)
-                        && self.position(a, t - 1) == self.position(b, t)
-                        && self.position(a, t) != self.position(a, t - 1)
-                    {
-                        return Some(Conflict::Edge {
-                            a,
-                            b,
-                            t: t - 1,
-                            from: self.position(a, t - 1),
-                            to: self.position(a, t),
-                        });
-                    }
-                }
-            }
-        }
-        let _ = graph;
-        None
+    /// The earliest conflict, if any (CBS branches on it).
+    pub fn first_conflict(&self) -> Option<Conflict> {
+        self.conflicts().next()
     }
+
+    /// Every conflict, ordered by timestep, then by agent pair.
+    fn conflicts(&self) -> impl Iterator<Item = Conflict> + '_ {
+        let n = self.paths.len();
+        (0..=self.makespan()).flat_map(move |t| {
+            (0..n).flat_map(move |a| {
+                (a + 1..n).filter_map(move |b| conflict_at(a, &self.paths[a], b, &self.paths[b], t))
+            })
+        })
+    }
+}
+
+/// The conflict between agent `a` on timed path `pa` and agent `b` on
+/// timed path `pb` at timestep `t`, if any: both on one vertex at `t`, or
+/// swapping along one edge during `t - 1 → t` (reported with the swap's
+/// start, `t - 1`). Paths park at their last vertex.
+///
+/// # Panics
+///
+/// Panics if either path is empty.
+pub fn conflict_at(
+    a: usize,
+    pa: &[VertexId],
+    b: usize,
+    pb: &[VertexId],
+    t: usize,
+) -> Option<Conflict> {
+    let at = |path: &[VertexId], t: usize| {
+        *path
+            .get(t)
+            .unwrap_or_else(|| path.last().expect("non-empty path"))
+    };
+    let (va, vb) = (at(pa, t), at(pb, t));
+    if va == vb {
+        return Some(Conflict::Vertex { a, b, t, at: va });
+    }
+    if t > 0 {
+        let (prev_a, prev_b) = (at(pa, t - 1), at(pb, t - 1));
+        // `va != vb`, so a swap moves both agents.
+        if va == prev_b && prev_a == vb {
+            return Some(Conflict::Edge {
+                a,
+                b,
+                t: t - 1,
+                from: prev_a,
+                to: va,
+            });
+        }
+    }
+    None
 }
 
 /// Errors from MAPF solvers.
@@ -289,7 +280,7 @@ mod tests {
         };
         let conflicts = sol.validate(&g);
         assert!(matches!(conflicts[0], Conflict::Vertex { t: 1, .. }));
-        assert!(sol.first_conflict(&g).is_some());
+        assert!(sol.first_conflict().is_some());
     }
 
     #[test]
@@ -317,6 +308,39 @@ mod tests {
     }
 
     #[test]
+    fn conflict_at_parks_paths_and_stamps_swaps_at_their_start() {
+        let g = line_graph();
+        let v: Vec<VertexId> = g.vertices().collect();
+        // Agent 1 parks at v1; agent 0 reaches it at t=2 and stays.
+        let (pa, pb) = (vec![v[0], v[0], v[1]], vec![v[1]]);
+        assert_eq!(conflict_at(0, &pa, 1, &pb, 1), None);
+        for t in [2, 9] {
+            assert_eq!(
+                conflict_at(0, &pa, 1, &pb, t),
+                Some(Conflict::Vertex {
+                    a: 0,
+                    b: 1,
+                    t,
+                    at: v[1]
+                })
+            );
+        }
+        // A head-on swap during 0 -> 1 is reported at its start.
+        let (pa, pb) = (vec![v[2], v[3]], vec![v[3], v[2]]);
+        assert_eq!(conflict_at(4, &pa, 7, &pb, 0), None);
+        assert_eq!(
+            conflict_at(4, &pa, 7, &pb, 1),
+            Some(Conflict::Edge {
+                a: 4,
+                b: 7,
+                t: 0,
+                from: v[2],
+                to: v[3]
+            })
+        );
+    }
+
+    #[test]
     fn conflict_free_solution_validates() {
         let g = line_graph();
         let v: Vec<VertexId> = g.vertices().collect();
@@ -324,6 +348,6 @@ mod tests {
             paths: vec![vec![v[0], v[1]], vec![v[3], v[2]]],
         };
         assert!(sol.validate(&g).is_empty());
-        assert_eq!(sol.first_conflict(&g), None);
+        assert_eq!(sol.first_conflict(), None);
     }
 }

@@ -1,26 +1,24 @@
 //! The three §V evaluation instances: two fulfillment centers and the
-//! sorting center, with inventories and uniform workload helpers.
+//! sorting center, with inventories and uniform and Zipf workload helpers.
 //!
 //! All three use the [`SnakeLayout`](crate::SnakeLayout) designer (the
 //! topology visible in the paper's Fig. 4); stations are spread across the
 //! ring so agents can deliver several times per revolution (see the
 //! throughput analysis atop `snake.rs`).
 
-use wsp_model::{
-    CellKind, Coord, Direction, GridMap, ProductCatalog, ProductId, Warehouse, Workload,
-};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use wsp_model::{CellKind, Coord, Direction, GridMap, ProductCatalog, Warehouse, Workload};
 use wsp_traffic::TrafficSystem;
 
 use crate::snake::SnakeLayout;
+use crate::variants::{build_sorting_center, SortingCenterParams};
 
 /// Stock placed per (shelf cell, product) on fulfillment maps. The paper
 /// reports no stock-outs on workloads of ≤ 1440 units, so stock is ample
 /// and the §IV-D stock-rate bound `f_in ≤ UNITS_AT/q_c` stays slack.
 const FULFILLMENT_UNITS_PER_SLOT: u64 = 100_000;
-
-/// Stock per chute on the sorting map (the paper models chutes as shelves
-/// holding "an arbitrary amount").
-const SORTING_UNITS_PER_CHUTE: u64 = 1_000_000_000;
 
 /// A generated evaluation map: warehouse + traffic system + the headline
 /// statistics quoted with Table I.
@@ -53,12 +51,49 @@ impl MapInstance {
             .collect();
         Workload::from_demands(demands)
     }
+
+    /// A Zipf-skewed workload: `total_units` distributed over the catalog
+    /// with popularity `∝ 1 / rank^exponent`, the product-to-rank
+    /// assignment shuffled by `seed`. `exponent = 0` degenerates to (a
+    /// permutation of) the uniform workload; real order streams are
+    /// typically `0.5 ..= 1.5`.
+    ///
+    /// The result always sums to exactly `total_units` (rounding residue
+    /// goes to the most popular ranks).
+    pub fn zipf_workload(&self, total_units: u64, exponent: f64, seed: u64) -> Workload {
+        let n = self.products as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Shuffle which product gets which popularity rank.
+        let mut rank_to_product: Vec<usize> = (0..n).collect();
+        rank_to_product.shuffle(&mut rng);
+
+        let weights: Vec<f64> = (0..n)
+            .map(|rank| 1.0 / ((rank + 1) as f64).powf(exponent))
+            .collect();
+        let total_weight: f64 = weights.iter().sum();
+
+        let mut demands = vec![0u64; n];
+        let mut assigned = 0u64;
+        for (rank, &product) in rank_to_product.iter().enumerate() {
+            let share = ((total_units as f64) * weights[rank] / total_weight).floor() as u64;
+            demands[product] = share;
+            assigned += share;
+        }
+        // Hand the rounding residue to the most popular ranks, one unit
+        // each, so totals are exact.
+        let mut residue = total_units - assigned;
+        let mut rank = 0usize;
+        while residue > 0 {
+            demands[rank_to_product[rank % n]] += 1;
+            residue -= 1;
+            rank += 1;
+        }
+        Workload::from_demands(demands)
+    }
 }
 
 /// Builds "Fulfillment 1": the real Kiva-style map of \[10\] — 560 shelves,
-/// 4 station bays, 55 products, 47×23 = 1081 cells (paper: 1071; the
-/// extra cells are the larger station-queue zone Property 4.1 capacity
-/// needs).
+/// 4 station bays, 55 products, 47×24 = 1128 cells (paper: 1071).
 ///
 /// # Errors
 ///
@@ -177,65 +212,27 @@ fn build_fulfillment(p: FulfillmentParams) -> Result<MapInstance, Box<dyn std::e
 /// of product `ρ_i`; bins are the station bays (§V's reduction, with
 /// pickup/drop-off roles swapped when reading the plan back).
 ///
+/// Built by the [`sorting_center_variant`](crate::sorting_center_variant)
+/// family's builder from [`SortingCenterParams::paper`], with the bins
+/// where the paper map has them rather than at the family's rotated
+/// slots.
+///
 /// # Errors
 ///
 /// Propagates grid/traffic construction failures.
 pub fn sorting_center() -> Result<MapInstance, Box<dyn std::error::Error>> {
-    let width = 29u32;
-    let height = 14u32; // top aisle at y = 11, perimeter top row at 13
-    let layout = SnakeLayout {
-        width,
-        height,
-        aisle_ys: vec![1, 3, 5, 7, 9, 11],
-        max_component_len: 90,
-        orientation: wsp_traffic::RingOrientation::Forward,
-    };
-
-    let mut grid = GridMap::new(width, height)?;
-    let mut chute_cells: Vec<Coord> = Vec::new();
-    let mut remaining = 36u32;
-    for &y in &[2u32, 4, 6, 8, 10] {
-        // Uniformly spaced chutes: x = 3, 6, …, 24.
-        for x in (3..=width - 5).step_by(3) {
-            if remaining == 0 {
-                break;
-            }
-            let at = Coord::new(x, y);
-            grid.set(at, CellKind::Shelf)?;
-            chute_cells.push(at);
-            remaining -= 1;
-        }
-    }
     // Bins on the perimeter return, as in the paper's Fig. 5.
-    for &(x, y) in &[(28u32, 10u32), (28, 4), (20, 0), (8, 0)] {
-        grid.set(Coord::new(x, y), CellKind::Station)?;
-    }
-
-    let mut warehouse =
-        Warehouse::from_grid_with_access(&grid, &[Direction::North, Direction::South])?;
-    warehouse.set_catalog(ProductCatalog::with_len(chute_cells.len()));
-    for (i, &cell) in chute_cells.iter().enumerate() {
-        let access = cell
-            .step(Direction::South)
-            .and_then(|c| warehouse.graph().vertex_at(c))
-            .expect("chute has a southern aisle by construction");
-        warehouse.stock(access, ProductId(i as u32), SORTING_UNITS_PER_CHUTE)?;
-    }
-
-    let traffic = layout.build_traffic(&warehouse)?;
-    Ok(MapInstance {
-        name: "Sorting Center",
-        products: chute_cells.len() as u32,
-        station_bays: 4,
-        shelves: warehouse.shelf_count(),
-        warehouse,
-        traffic,
-    })
+    build_sorting_center(
+        &SortingCenterParams::paper(),
+        &[(28, 10), (28, 4), (20, 0), (8, 0)],
+        "Sorting Center",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsp_model::ProductId;
 
     #[test]
     fn sorting_center_matches_paper_stats() {
@@ -275,6 +272,46 @@ mod tests {
             assert_eq!(w.total_units(), total);
             assert_eq!(w.demanded_products(), 36);
         }
+    }
+
+    #[test]
+    fn zipf_workload_totals_are_exact() {
+        let map = crate::scaled_warehouse(3, 10, 3, 1).unwrap();
+        for total in [1u64, 37, 160, 999] {
+            let w = map.zipf_workload(total, 1.0, 5);
+            assert_eq!(w.total_units(), total);
+            assert_eq!(w.len(), map.products as usize);
+        }
+    }
+
+    #[test]
+    fn zipf_workload_is_skewed_and_deterministic() {
+        let map = sorting_center().unwrap();
+        let w1 = map.zipf_workload(3_600, 1.0, 7);
+        let w2 = map.zipf_workload(3_600, 1.0, 7);
+        assert_eq!(w1.iter().collect::<Vec<_>>(), w2.iter().collect::<Vec<_>>());
+        // The hottest product dominates the uniform share; the coldest is
+        // well under it.
+        let uniform_share = 3_600 / map.products as u64;
+        let max = (0..map.products)
+            .map(|k| w1.demand(ProductId(k)))
+            .max()
+            .unwrap();
+        let min = (0..map.products)
+            .map(|k| w1.demand(ProductId(k)))
+            .min()
+            .unwrap();
+        assert!(max > 2 * uniform_share, "max {max} not skewed");
+        assert!(min < uniform_share, "min {min} not skewed");
+    }
+
+    #[test]
+    fn zipf_seed_changes_the_permutation() {
+        let map = sorting_center().unwrap();
+        let a = map.zipf_workload(1_000, 1.2, 1);
+        let b = map.zipf_workload(1_000, 1.2, 2);
+        assert_ne!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        assert_eq!(a.total_units(), b.total_units());
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! package sorting center, each co-generated with a validated traffic
 //! system (§V, Figs. 4 and 5).
 //!
-//! All three maps share one *zoned* layout (module [`zoned`]) consisting
-//! of, bottom to top: a collector lane, a zone of serpentine station-queue
-//! strips, a distributor lane, a ladder of shelf rows and one-way aisles,
-//! and a top lane; one-way vertical lanes on the left and right edges close
-//! the ring. Every generated design satisfies all §IV-A composition rules
-//! by construction (and the test suite re-validates each).
+//! Every map here, the three paper maps and the two generator families
+//! ([`sorting_center_variant`] for the design explorer, [`scaled_warehouse`]
+//! for production-scale floors), is designed by one traffic designer,
+//! [`SnakeLayout`]: a ladder of shelf rows between one-way aisles, threaded
+//! by one ring that runs east and west through every aisle and then returns
+//! around the map perimeter, where the station bays sit. The ring is
+//! chopped into near-equal components. Every generated design satisfies
+//! all §IV-A composition rules by construction (and the test suite
+//! re-validates each).
 //!
 //! Instance statistics versus the paper are pinned by the
 //! `*_matches_paper_stats` tests in `instances.rs`: shelf, station-bay, and
-//! product counts match the paper, while total cell counts differ slightly
-//! where Property 4.1 station-queue capacity forces a larger queue zone
-//! (Fulfillment 1: 1,081 cells against the paper's 1,071).
+//! product counts match the paper, and so do the cell counts of the
+//! sorting center and Fulfillment 2; Fulfillment 1 has 47 × 24 = 1,128
+//! cells against the paper's 1,071.
 //!
 //! # Examples
 //!
@@ -32,15 +35,12 @@
 #![warn(missing_docs)]
 
 mod instances;
-mod random;
 mod scaled;
 mod snake;
 mod util;
 mod variants;
-pub mod zoned;
 
 pub use instances::{fulfillment_center_1, fulfillment_center_2, sorting_center, MapInstance};
-pub use random::random_block_warehouse;
 pub use scaled::scaled_warehouse;
 pub use snake::SnakeLayout;
 pub use variants::{sorting_center_variant, SortingCenterParams};

@@ -1,24 +1,26 @@
-//! Production-scale scenario generation: parameterized warehouse layouts
-//! from ~10k to ~200k vertices, for exercising the MAPF/realize stack far
-//! beyond the paper's three evaluation maps.
+//! Randomized scenario generation: parameterized block warehouses from a
+//! few hundred to ~200k vertices, for stress-testing the pipeline beyond
+//! the paper's three evaluation maps and exercising the MAPF/realize stack
+//! at production scale.
 //!
-//! [`scaled_warehouse`] generalizes
-//! [`random_block_warehouse`](crate::random_block_warehouse) along two
-//! axes: the shelf field grows with `rows × cols`, and `aisle_pitch`
-//! controls the vertical distance between one-way aisles — pitch 3
-//! reproduces the paper's two-row Kiva blocks, larger pitches produce
-//! deep zoned blocks whose interior rows are solid storage (modeled as
-//! obstacles, since only aisle-adjacent rows are reachable). The vertex
-//! count scales as ~`rows × cols`, so `scaled_warehouse(101, 1000, 3, s)`
-//! is a ~105k-vertex instance. Pair with
+//! [`scaled_warehouse`] is a seeded block warehouse on two axes: the
+//! shelf field grows with `rows × cols`, and `aisle_pitch` controls the
+//! vertical distance between one-way aisles — pitch 3 reproduces the
+//! paper's two-row Kiva blocks, larger pitches produce deep blocks whose
+//! interior rows are solid storage (modeled as obstacles, since only
+//! aisle-adjacent rows are reachable). The vertex count scales as
+//! ~`rows × cols`, so `scaled_warehouse(101, 1000, 3, s)` is a ~105k-vertex
+//! instance. The generator is deterministic in its `seed`, so a scenario
+//! can be named in bug reports and benchmarks ("3×12 pitch 3 seed 7").
+//! Pair with
 //! [`MapInstance::zipf_workload`](crate::MapInstance::zipf_workload) for
 //! skewed order streams.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wsp_model::{CellKind, Coord, Direction, GridMap, ProductCatalog, Warehouse};
+use wsp_model::{CellKind, Coord, Direction, GridMap, ModelError, ProductCatalog, Warehouse};
 
-use crate::util::{place_perimeter_stations, stock_round_robin};
+use crate::util::stock_round_robin;
 use crate::{MapInstance, SnakeLayout};
 
 /// Stock placed per (shelf cell, product); ample, as on the paper maps.
@@ -82,8 +84,11 @@ pub fn scaled_warehouse(
         max_component_len: 65,
         orientation: wsp_traffic::RingOrientation::Forward,
     };
-    // Same balance as `random_block_warehouse`: ~4 components on small
-    // rings, the paper maps' 65-cell pieces once rings grow past ~260.
+    // Chop the ring into ~4 components: capacity ⌊len/2⌋ must admit one
+    // loaded flow per demanded product (integer per-period rates), while
+    // the cycle time t_c = 2·max_len still has to leave enough periods in
+    // the horizon — ring/4 balances both on small maps; 65 matches the
+    // paper maps once rings grow past ~260 cells.
     layout.max_component_len = (layout.ring_cells().len() / 4).clamp(12, 65);
 
     let mut grid = GridMap::new(width, height)?;
@@ -114,6 +119,10 @@ pub fn scaled_warehouse(
 
     let mut warehouse =
         Warehouse::from_grid_with_access(&grid, &[Direction::North, Direction::South])?;
+    // Integer flow synthesis needs >= 1 delivery/period per demanded
+    // product, so the catalog must stay small relative to the ring's agent
+    // capacity: scale it with the shelf field instead of the paper maps'
+    // 36-120 products.
     let max_products = (shelf_cells.len() as u64 / 8).clamp(4, 64);
     let products = rng.gen_range(4..max_products + 1) as u32;
     warehouse.set_catalog(ProductCatalog::with_len(products as usize));
@@ -128,6 +137,31 @@ pub fn scaled_warehouse(
         products,
         station_bays: n_stations as u32,
     })
+}
+
+/// Places `n_stations` distinct station cells on the perimeter return —
+/// right column and bottom row, which the snake covers with
+/// shelf-access-free components — drawing positions from `rng` until the
+/// count is met.
+fn place_perimeter_stations(
+    grid: &mut GridMap,
+    rng: &mut StdRng,
+    n_stations: usize,
+) -> Result<(), ModelError> {
+    let (width, height) = (grid.width(), grid.height());
+    let mut station_cells: Vec<Coord> = Vec::new();
+    while station_cells.len() < n_stations {
+        let at = if rng.gen_range(0..2) == 0 {
+            Coord::new(width - 1, rng.gen_range(2..height as u64 - 2) as u32)
+        } else {
+            Coord::new(rng.gen_range(3..width as u64 - 3) as u32, 0)
+        };
+        if !station_cells.contains(&at) {
+            station_cells.push(at);
+            grid.set(at, CellKind::Station)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -169,6 +203,14 @@ mod tests {
                 .vertex_at(Coord::new(x, interior_y))
                 .is_none());
         }
+    }
+
+    #[test]
+    fn rows_normalized_to_snake_compatible_values() {
+        // Even `rows` is rounded up; the traffic must still validate.
+        let map = scaled_warehouse(2, 6, 3, 3).expect("builds");
+        assert_eq!(map.warehouse.grid().height(), 3 * 3 + 3);
+        assert!(map.traffic.is_strongly_connected());
     }
 
     #[test]

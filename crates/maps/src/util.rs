@@ -1,35 +1,8 @@
-//! Helpers shared by the map builders: perimeter station placement and
-//! round-robin shelf stocking. Crate-private — the public surface is the
-//! generator functions themselves.
+//! Helpers shared by the map builders: round-robin shelf stocking.
+//! Crate-private — the public surface is the generator functions
+//! themselves.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use wsp_model::{CellKind, Coord, Direction, GridMap, ModelError, ProductId, Warehouse};
-
-/// Places `n_stations` distinct station cells on the perimeter return —
-/// right column and bottom row, which the snake covers with
-/// shelf-access-free components — drawing positions from `rng` until the
-/// count is met.
-pub(crate) fn place_perimeter_stations(
-    grid: &mut GridMap,
-    rng: &mut StdRng,
-    n_stations: usize,
-) -> Result<Vec<Coord>, ModelError> {
-    let (width, height) = (grid.width(), grid.height());
-    let mut station_cells: Vec<Coord> = Vec::new();
-    while station_cells.len() < n_stations {
-        let at = if rng.gen_range(0..2) == 0 {
-            Coord::new(width - 1, rng.gen_range(2..height as u64 - 2) as u32)
-        } else {
-            Coord::new(rng.gen_range(3..width as u64 - 3) as u32, 0)
-        };
-        if !station_cells.contains(&at) {
-            station_cells.push(at);
-            grid.set(at, CellKind::Station)?;
-        }
-    }
-    Ok(station_cells)
-}
+use wsp_model::{Coord, Direction, ModelError, ProductId, Warehouse};
 
 /// Assigns product `k = i mod products` to the `i`-th shelf cell and
 /// stocks `units_per_slot` at its canonical access vertex (the southern

@@ -2,7 +2,8 @@
 //! `wsp-explore` sweeps.
 //!
 //! [`sorting_center`](crate::sorting_center) reproduces the paper's one
-//! fixed design; [`sorting_center_variant`] generalizes it along the
+//! fixed design through this module's builder, with the paper map's own
+//! bins; [`sorting_center_variant`] generalizes it along the
 //! co-design knobs the paper treats as free choices: the aisle pitch
 //! (vertical distance between one-way aisles), the chute field shape
 //! (rows × columns and horizontal spacing), the ring's travel
@@ -20,7 +21,7 @@ use wsp_traffic::RingOrientation;
 use crate::{MapInstance, SnakeLayout};
 
 /// Stock per chute (the paper models chutes as holding "an arbitrary
-/// amount"; matches [`sorting_center`](crate::sorting_center)).
+/// amount").
 const UNITS_PER_CHUTE: u64 = 1_000_000_000;
 
 /// The co-design knobs of a sorting-center variant.
@@ -63,6 +64,11 @@ pub struct SortingCenterParams {
 impl SortingCenterParams {
     /// The paper's sorting-center geometry expressed in this family
     /// (29-wide, 5×8 chutes, pitch 2, 4 stations, forward ring).
+    ///
+    /// Only the bins differ from [`sorting_center`](crate::sorting_center):
+    /// [`sorting_center_variant`] puts these four at the family's evenly
+    /// rotated perimeter slots `(28,11), (28,3), (19,0), (10,0)`, not at
+    /// the paper map's `(28,10), (28,4), (20,0), (8,0)`.
     pub fn paper() -> Self {
         SortingCenterParams {
             chute_rows: 5,
@@ -165,8 +171,8 @@ impl SortingCenterParams {
 
     /// The perimeter cells eligible to host station bays, in a fixed
     /// deterministic order (down the right column, then west along the
-    /// bottom row), corners excluded. Matches where the paper's Fig. 5
-    /// puts its bins.
+    /// bottom row), corners excluded: the stretch of the perimeter return
+    /// where the paper's Fig. 5 puts its bins.
     fn station_slots(&self) -> Vec<(u32, u32)> {
         let (w, h) = (self.width(), self.height());
         let mut slots: Vec<(u32, u32)> = Vec::new();
@@ -190,6 +196,25 @@ pub fn sorting_center_variant(
     params: &SortingCenterParams,
 ) -> Result<MapInstance, Box<dyn std::error::Error>> {
     params.validate()?;
+    // Station bays, evenly rotated over the perimeter slots.
+    let slots = params.station_slots();
+    let n = params.stations as usize;
+    let offset = params.station_offset as usize % slots.len();
+    let stations: Vec<(u32, u32)> = (0..n)
+        .map(|i| slots[(offset + i * slots.len() / n) % slots.len()])
+        .collect();
+    build_sorting_center(params, &stations, "Sorting Variant")
+}
+
+/// Builds the sorting center `params` describes with its station bays at
+/// `stations`: the one builder behind both
+/// [`sorting_center`](crate::sorting_center) and
+/// [`sorting_center_variant`]. `params` must already be validated.
+pub(crate) fn build_sorting_center(
+    params: &SortingCenterParams,
+    stations: &[(u32, u32)],
+    name: &'static str,
+) -> Result<MapInstance, Box<dyn std::error::Error>> {
     let (width, height) = (params.width(), params.height());
     let aisle_ys = params.aisle_ys();
     let layout = SnakeLayout {
@@ -231,13 +256,7 @@ pub fn sorting_center_variant(
             }
         }
     }
-
-    // Station bays, evenly rotated over the perimeter slots.
-    let slots = params.station_slots();
-    let n = params.stations as usize;
-    let offset = params.station_offset as usize % slots.len();
-    for i in 0..n {
-        let (x, y) = slots[(offset + i * slots.len() / n) % slots.len()];
+    for &(x, y) in stations {
         grid.set(Coord::new(x, y), CellKind::Station)?;
     }
 
@@ -254,9 +273,9 @@ pub fn sorting_center_variant(
 
     let traffic = layout.build_traffic(&warehouse)?;
     Ok(MapInstance {
-        name: "Sorting Variant",
+        name,
         products: chute_cells.len() as u32,
-        station_bays: params.stations,
+        station_bays: stations.len() as u32,
         shelves: warehouse.shelf_count(),
         warehouse,
         traffic,
@@ -284,6 +303,36 @@ mod tests {
             paper.traffic.component_count()
         );
         assert_eq!(map.traffic.cycle_time(), paper.traffic.cycle_time());
+    }
+
+    #[test]
+    fn paper_params_differ_from_the_paper_map_only_in_the_bins() {
+        let variant = sorting_center_variant(&SortingCenterParams::paper()).unwrap();
+        let paper = crate::sorting_center().unwrap();
+        let (a, b) = (variant.warehouse.grid(), paper.warehouse.grid());
+        let mut differing: Vec<(u32, u32)> = Vec::new();
+        for y in 0..a.height() {
+            for x in 0..a.width() {
+                let at = Coord::new(x, y);
+                if a.get(at) != b.get(at) {
+                    differing.push((x, y));
+                }
+            }
+        }
+        differing.sort_unstable();
+        // The family's slots (28,11), (28,3), (19,0), (10,0) and the paper
+        // map's bins (28,10), (28,4), (20,0), (8,0), in sorted order.
+        let bins = [
+            (8, 0),
+            (10, 0),
+            (19, 0),
+            (20, 0),
+            (28, 3),
+            (28, 4),
+            (28, 10),
+            (28, 11),
+        ];
+        assert_eq!(differing, bins);
     }
 
     #[test]

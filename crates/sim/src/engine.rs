@@ -1,7 +1,6 @@
 //! The lifelong simulation engine: executes a synthesized design tick by
-//! tick against a task stream, with rolling-horizon replanning through the
-//! staged pipeline's realize stage, stall deviations, and MAPF catch-up
-//! repair.
+//! tick against a task stream, with rolling-horizon replanning through
+//! windowed realization, stall deviations, and MAPF catch-up repair.
 //!
 //! # Event model
 //!
@@ -49,13 +48,14 @@
 //!    sweep so wake ordering stays engine-independent.
 //!
 //! When the window is exhausted (or lag crosses the early-replan
-//! threshold) the engine snapshots the *actual* agent states and resumes
-//! the pipeline's realize stage from them
-//! ([`Pipeline::realize_window`]) — deviation divergence heals at every
-//! replan, and in a deviation-free run the windows concatenate to exactly
-//! the one-shot realization (the differential tests pin this). Under
-//! `Auction` no agent follows the window plan, so a replan keeps only the
-//! cadence (everyone wakes, cursors reset) and realizes nothing.
+//! threshold) the engine snapshots the *actual* agent states and realizes
+//! the next window from them
+//! ([`wsp_realize::realize_window_with_scratch`]) — deviation divergence
+//! heals at every replan, and in a deviation-free run the windows
+//! concatenate to exactly the one-shot realization (the differential
+//! tests pin this). Under `Auction` no agent follows the window plan, so
+//! a replan keeps only the cadence (everyone wakes, cursors reset) and
+//! realizes nothing.
 //!
 //! # Parts and phase functions
 //!
@@ -112,7 +112,7 @@ use wsp_mapf::ReservationTable;
 use wsp_model::{
     AgentState, Carry, Coord, FloorplanGraph, LocationMatrix, Plan, ProductId, VertexId, NO_INDEX,
 };
-use wsp_realize::AgentSnapshot;
+use wsp_realize::{realize_window_with_scratch, AgentSnapshot, RealizeScratch};
 
 use crate::assign::{AssignConfig, AssignPolicy, AuctionState, ClosedSet};
 use crate::deviation::{
@@ -717,14 +717,14 @@ struct RepairScratch {
 }
 
 /// The lifelong simulator. Borrows the instance; owns everything else,
-/// including the [`Pipeline`] whose realize scratch serves every window
-/// replan — steady-state ticks are allocation-light (only window plans and
-/// task bookkeeping allocate).
+/// including the [`RealizeScratch`] that serves every window replan —
+/// steady-state ticks are allocation-light (only window plans and task
+/// bookkeeping allocate).
 #[derive(Debug)]
 pub struct Simulation<'a> {
     instance: &'a WspInstance,
     cycles: AgentCycleSet,
-    pipeline: Pipeline,
+    realize_scratch: RealizeScratch,
     config: SimConfig,
 
     stream: TaskStream,
@@ -773,7 +773,7 @@ impl<'a> Simulation<'a> {
         let mut pipeline = Pipeline::new();
         let flow = pipeline.synthesize(instance, options)?;
         let cycles = pipeline.decompose(&flow)?;
-        Self::from_cycles_with_pipeline(instance, cycles.cycles, pipeline, config)
+        Self::from_cycles(instance, cycles.cycles, config)
     }
 
     /// Builds a simulation from an explicit cycle set (e.g.
@@ -786,15 +786,6 @@ impl<'a> Simulation<'a> {
     pub fn from_cycles(
         instance: &'a WspInstance,
         cycles: AgentCycleSet,
-        config: SimConfig,
-    ) -> Result<Self, SimError> {
-        Self::from_cycles_with_pipeline(instance, cycles, Pipeline::new(), config)
-    }
-
-    fn from_cycles_with_pipeline(
-        instance: &'a WspInstance,
-        cycles: AgentCycleSet,
-        pipeline: Pipeline,
         config: SimConfig,
     ) -> Result<Self, SimError> {
         let agents = cycles.total_agents();
@@ -846,7 +837,7 @@ impl<'a> Simulation<'a> {
         let mut sim = Simulation {
             instance,
             cycles,
-            pipeline,
+            realize_scratch: RealizeScratch::new(),
             stream: TaskStream::new(&config.stream),
             deviations: DeviationSchedule::new(&config.deviations, agents),
             faults: FaultSchedule::new(&config.faults, agents, n_stations, n_vertices),
@@ -1100,7 +1091,7 @@ impl<'a> Simulation<'a> {
 
     /// Starts a new window at the current tick: wakes everyone and, for
     /// plan followers, snapshots the *actual* runtime state and realizes
-    /// the window from it through the pipeline's realize stage.
+    /// the window from it.
     fn replan(&mut self) -> Result<(), SimError> {
         let t = self.t;
         // Bank the lazily folded sleep lag before the ledger reset (the
@@ -1136,14 +1127,17 @@ impl<'a> Simulation<'a> {
             })
             .collect();
         self.plan_ledger.clone_from(&self.ledger);
-        let out = self.pipeline.realize_window(
-            self.instance,
+        let out = realize_window_with_scratch(
+            &self.instance.warehouse,
+            &self.instance.traffic,
             &self.cycles,
             t as usize,
             self.win.len,
             &snapshots,
             &mut self.plan_ledger,
-        )?;
+            &mut self.realize_scratch,
+        )
+        .map_err(PipelineError::Realize)?;
         self.win.plan = out.plan;
         // Repairs of on-component agents are healed by the replan itself;
         // off-component agents keep their detour but now rejoin as strays

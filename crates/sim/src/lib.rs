@@ -14,9 +14,9 @@
 //!   quiescent ticks are skipped outright, and each executed tick sweeps
 //!   only the active set ([`SimEngine::Event`]; the original full sweep
 //!   survives as the [`SimEngine::Reference`] oracle), **replanning
-//!   rolling-horizon windows** by resuming the staged pipeline from its
-//!   realize stage ([`wsp_core::Pipeline::realize_window`]) with
-//!   per-pipeline scratch, so steady-state ticks cost O(active agents),
+//!   rolling-horizon windows** from the executed state
+//!   ([`wsp_realize::realize_window_with_scratch`]) with one reused
+//!   realize scratch, so steady-state ticks cost O(active agents),
 //!   independent of the map size;
 //! * seeded **stall deviations** ([`DeviationSchedule`]) knock execution
 //!   off plan; a conflict-free movement resolver absorbs them (blocked

@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wsp_mapf::{PlanQuery, ReservationTable, SearchScratch, SpaceTimeAstar};
+use wsp_mapf::{conflict_at, PlanQuery, ReservationTable, SearchScratch, SpaceTimeAstar};
 use wsp_model::{FloorplanGraph, VertexId};
 
 /// One catch-up request: route `agent` from `start` (its actual position,
@@ -152,27 +152,9 @@ pub(crate) fn accept_repairs(
     let mut accepted: Vec<(usize, RepairPath)> = Vec::new();
     for (r, path) in requests.iter().zip(found) {
         let Some(path) = path else { continue };
-        let clashes = accepted.iter().any(|(_, other)| {
-            let horizon = path.len().max(other.path.len());
-            (0..horizon).any(|k| {
-                let mine = *path.get(k).unwrap_or(path.last().expect("non-empty"));
-                let theirs = *other
-                    .path
-                    .get(k)
-                    .unwrap_or(other.path.last().expect("non-empty"));
-                if mine == theirs {
-                    return true;
-                }
-                if k == 0 {
-                    return false;
-                }
-                let mine_prev = *path.get(k - 1).unwrap_or(path.last().expect("non-empty"));
-                let theirs_prev = *other
-                    .path
-                    .get(k - 1)
-                    .unwrap_or(other.path.last().expect("non-empty"));
-                mine == theirs_prev && theirs == mine_prev && mine != mine_prev
-            })
+        let clashes = accepted.iter().any(|(agent, other)| {
+            (0..path.len().max(other.path.len()))
+                .any(|t| conflict_at(r.agent, &path, *agent, &other.path, t).is_some())
         });
         if !clashes {
             accepted.push((

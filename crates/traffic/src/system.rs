@@ -89,6 +89,14 @@ pub enum TrafficError {
         /// The dangling id.
         component: ComponentId,
     },
+    /// The same `from → to` connection is declared more than once (the
+    /// traffic-system graph has at most one arc per ordered pair).
+    DuplicateConnection {
+        /// Upstream component.
+        from: ComponentId,
+        /// Downstream component.
+        to: ComponentId,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -144,6 +152,9 @@ impl fmt::Display for TrafficError {
             ),
             TrafficError::UnknownComponent { component } => {
                 write!(f, "connection references unknown {component}")
+            }
+            TrafficError::DuplicateConnection { from, to } => {
+                write!(f, "connection {from} -> {to} is declared more than once")
             }
         }
     }
@@ -319,6 +330,10 @@ impl TrafficSystemBuilder {
             }
             if to.index() >= n {
                 errors.push(TrafficError::UnknownComponent { component: to });
+                continue;
+            }
+            if outlets[from.index()].contains(&to) {
+                errors.push(TrafficError::DuplicateConnection { from, to });
                 continue;
             }
             outlets[from.index()].push(to);
@@ -818,6 +833,52 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, TrafficError::UnknownComponent { .. })));
+    }
+
+    /// 3×3 ring around a shelf, split into the station-side bottom row
+    /// and the rest of the ring.
+    fn two_component_ring() -> (Warehouse, TrafficSystemBuilder, ComponentId, ComponentId) {
+        let grid = GridMap::from_ascii("...\n.#.\n.@.").unwrap();
+        let w =
+            Warehouse::from_grid_with_access(&grid, &[Direction::East, Direction::West]).unwrap();
+        let mut b = TrafficSystemBuilder::new();
+        let a = b
+            .add_component_coords(&w, [(0, 0), (1, 0), (2, 0)])
+            .unwrap();
+        let c = b
+            .add_component_coords(&w, [(2, 1), (2, 2), (1, 2), (0, 2), (0, 1)])
+            .unwrap();
+        (w, b, a, c)
+    }
+
+    #[test]
+    fn repeated_connection_is_rejected() {
+        let (w, mut b, a, c) = two_component_ring();
+        b.connect(a, c).connect(c, a);
+        assert_eq!(b.build(&w).unwrap().arc_count(), 2);
+        b.connect(c, a);
+        assert_eq!(
+            b.build(&w).unwrap_err(),
+            TrafficError::DuplicateConnection { from: c, to: a }
+        );
+    }
+
+    #[test]
+    fn duplicate_connection_detected() {
+        let (w, mut b, a, c) = two_component_ring();
+        b.connect(a, c).connect(c, a).connect(c, a).connect(a, c);
+        let errs = b.validate_all(&w);
+        assert_eq!(
+            errs,
+            vec![
+                TrafficError::DuplicateConnection { from: c, to: a },
+                TrafficError::DuplicateConnection { from: a, to: c },
+            ]
+        );
+        assert_eq!(
+            errs[0].to_string(),
+            "connection C1 -> C0 is declared more than once"
+        );
     }
 
     #[test]

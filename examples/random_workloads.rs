@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()?
         .unwrap_or(42);
 
-    let map = wsp_maps::random_block_warehouse(3, 12, seed)?;
+    let map = wsp_maps::scaled_warehouse(3, 12, 3, seed)?;
     println!(
         "seed {seed}: {}x{} grid, {} shelves, {} stations, {} products",
         map.warehouse.grid().width(),
